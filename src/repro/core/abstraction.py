@@ -111,8 +111,10 @@ def node2vec_alpha(
     fairwalk: 1/p if the candidate is the previous node, 1 if it is a
     neighbor of the previous node, 1/q otherwise.
 
-    The ``has_edge`` membership test is the paper's ``O(log deg)``
-    binary search (composite-key search in our CSR).
+    The ``has_edge`` membership test is the binary search the paper
+    charges to node2vec's weight: a sorted batch search of the global
+    composite key, ``O(log m)`` per query plus its share of sorting a
+    block of up to 2**21 query keys (see :mod:`repro.graph.csr`).
     """
     alpha = np.full(cand.shape[0], 1.0 / q, dtype=np.float64)
     back = cand == prev

@@ -62,6 +62,14 @@ class MHSampler(EdgeSampler):
         self.manager = SamplerManager(self.model.num_states(self.g), self.budget)
         self._prepared = True
 
+    def task_copy(self) -> "MHSampler":
+        """A copy with an empty ``LAST_x`` store. The store was charged
+        to the memory ledger once, by :meth:`prepare`."""
+        c = super().task_copy()
+        if self.manager is not None:
+            c.manager = SamplerManager(self.manager.num_states)
+        return c
+
     # ------------------------------------------------------------------
     def _accept(
         self, w_cand: np.ndarray, w_last: np.ndarray, u: np.ndarray
@@ -94,13 +102,13 @@ class MHSampler(EdgeSampler):
         deg: np.ndarray,
         start: np.ndarray,
         slot: np.ndarray,
+        w: np.ndarray,
         rounds: int = 6,
     ) -> np.ndarray:
-        """Resample initial slots whose dynamic weight is zero (hard
-        constraints, e.g. metapath type mismatch) — an initial sample in
-        a zero-probability region would otherwise emit one invalid
-        edge before the chain self-corrects."""
-        w = self.model.dyn_weight(self.g, wk, start + slot)
+        """Resample initial slots whose dynamic weight ``w`` is zero
+        (hard constraints, e.g. metapath type mismatch) — an initial
+        sample in a zero-probability region would otherwise emit one
+        invalid edge before the chain self-corrects."""
         for _ in range(rounds):
             bad = w <= 0.0
             if not bad.any():
@@ -145,7 +153,8 @@ class MHSampler(EdgeSampler):
         k = len(wk)
         if self.init == "random":
             slot = np.minimum((self.rng.random(k) * deg).astype(np.int64), deg - 1)
-            slot = self._retry_invalid(wk, deg, start, slot)
+            w = self.model.dyn_weight(g, wk, start + slot)
+            slot = self._retry_invalid(wk, deg, start, slot, w)
         elif self.init == "weight":
             # Approximate high-weight: argmax of dyn weight over
             # hw_samples uniform candidate slots per state (§III-C).
@@ -156,9 +165,11 @@ class MHSampler(EdgeSampler):
                 (self.rng.random(k * K) * deg_rep).astype(np.int64), deg_rep - 1
             )
             w = self.model.dyn_weight(g, rep, np.repeat(start, K) + slots)
-            best = np.argmax(w.reshape(k, K), axis=1)
-            slot = slots.reshape(k, K)[np.arange(k), best]
-            slot = self._retry_invalid(wk, deg, start, slot)
+            w = w.reshape(k, K)
+            best = np.argmax(w, axis=1)
+            rows = np.arange(k)
+            slot = slots.reshape(k, K)[rows, best]
+            slot = self._retry_invalid(wk, deg, start, slot, w[rows, best])
         else:  # burn-in
             slot = np.minimum((self.rng.random(k) * deg).astype(np.int64), deg - 1)
             w_slot = self.model.dyn_weight(g, wk, start + slot)

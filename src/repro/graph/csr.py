@@ -7,9 +7,15 @@ Spark (see :mod:`repro.graph.builder`) into numpy arrays so it can be
 broadcast to executors and sampled with vectorized numerics.
 
 A sorted composite key ``src * n + dst`` over all directed edge slots
-gives vectorized ``O(log m)`` ``has_edge`` / ``edge_index`` lookups —
-this is the binary search the paper charges to node2vec's dynamic
-weight calculation (§III-A complexity analysis).
+answers ``has_edge`` / ``edge_index`` — the binary search the paper
+charges to node2vec's dynamic weight calculation (§III-A complexity
+analysis). The search is global over all ``m`` slots, not per
+neighborhood, and batched: each block of ``b <= 2**21`` queries is
+argsorted (``O(b log b)``), searched with one ``searchsorted`` over the
+key (``O(b log m)`` comparisons), and the hits are scattered back.
+Sorted queries touch the key in increasing order, so successive
+searches share the cache lines of their upper probes; unsorted ones
+miss the cache on nearly every probe once the key outgrows it.
 """
 from __future__ import annotations
 
@@ -17,6 +23,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+#: Queries per sorted block of :meth:`CSRGraph.edge_index`. A walker
+#: batch's lookups (at most 80 k: 10 k walkers x 8 high-weight samples)
+#: are one block. Alias tables enumerate every state's neighbours in one
+#: call (21.5 M queries on flickr_lite). Argsort's cost per key grows with
+#: the block, so sorting that call whole is slower than the unsorted
+#: search it replaces, and its order, sorted-key and position arrays
+#: grow with the call; 2 M-key blocks bound each of them at 16 MB.
+_SEARCH_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -82,18 +97,36 @@ class CSRGraph:
 
     # ------------------------------------------------------------------
     def edge_index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized directed-edge slot of ``(u, v)``; ``-1`` if absent.
+        """Vectorized directed-edge slot of ``(u, v)``; ``-1`` if absent
+        or if ``u`` or ``v`` lies outside ``[0, n)``.
 
-        ``O(log m)`` per query via binary search on the sorted composite
-        key — the paper's binary-search cost model for dynamic weights.
+        A sorted batch search, block by block: each block's query keys
+        are sorted, searched in one ``searchsorted`` over the composite
+        key and the hits scattered back in query order (see the module
+        docstring for the cost). The key buffer doubles as the output.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        key = u * np.int64(self.n) + v
-        pos = np.searchsorted(self.comp_key, key)
-        pos_c = np.minimum(pos, self.m - 1)
-        hit = (self.comp_key[pos_c] == key) & (pos < self.m)
-        return np.where(hit, pos_c, -1).astype(np.int64)
+        n = np.int64(self.n)
+        out = np.asarray(u * n + v)
+        # -1 sorts first and matches no edge; an out-of-range id would
+        # otherwise alias a real key (1·n + (-1) == 0·n + (n-1)).
+        np.copyto(out, -1, where=(u < 0) | (u >= n) | (v < 0) | (v >= n))
+        key = out.reshape(-1)
+        if self.m == 0:
+            key.fill(-1)
+            return out
+        for lo in range(0, key.shape[0], _SEARCH_BLOCK):
+            blk = key[lo : lo + _SEARCH_BLOCK]
+            order = np.argsort(blk)
+            sblk = blk[order]
+            pos = np.searchsorted(self.comp_key, sblk)
+            # Past-the-end positions read the largest key, which is < sblk.
+            np.minimum(pos, self.m - 1, out=pos)
+            np.take(self.comp_key, pos, out=blk)
+            pos[blk != sblk] = -1
+            blk[order] = pos
+        return out
 
     def has_edge(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized edge-existence test (node2vec's ``d(u, s) == 1``)."""

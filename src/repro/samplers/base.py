@@ -14,6 +14,7 @@ same arithmetic, without really exhausting container RAM.
 """
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional
 
 import numpy as np
@@ -76,6 +77,12 @@ class EdgeSampler:
     def prepare(self) -> None:
         """Upfront initialization (tables, state allocation)."""
         self._prepared = True
+
+    def task_copy(self) -> "EdgeSampler":
+        """Shallow copy for one walk-generation task: it shares the
+        prepared read-only tables, and subclasses give it fresh
+        per-state chain memory so no task sees another's."""
+        return copy.copy(self)
 
     def reseed(self, rng: np.random.Generator) -> None:
         """Swap the random stream (per-partition seeding in the engine).

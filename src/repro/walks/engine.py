@@ -5,7 +5,8 @@ threads (§IV-A); the distributed-dataflow translation assigns them to
 Spark partitions. The walker population (start node × walk number) is a
 DataFrame; ``mapInPandas`` runs the vectorized kernel per partition
 against a **broadcast** read-only graph + prepared sampler. Sampler
-manager state (``LAST_x``) is partition-local (DESIGN.md §6).
+manager state (``LAST_x``) is task-local: every task starts from an
+empty store (DESIGN.md §7).
 
 Samplers with expensive ``prepare()`` (alias tables) are prepared once
 on the driver and shipped via the broadcast, mirroring UniNet's threads
@@ -13,7 +14,6 @@ sharing one table set.
 """
 from __future__ import annotations
 
-import copy
 from typing import Optional
 
 import numpy as np
@@ -75,9 +75,10 @@ def generate_walks(
 
     def run(batches):
         gb, mb, sb, st = bc.value
-        # Per-worker private copy of mutable sampler state; read-only
-        # tables are shared via the broadcast arrays.
-        samp = copy.copy(sb)
+        # The worker caches bc.value across tasks and actions: each task
+        # takes a private copy whose LAST_x store starts empty, so a
+        # corpus does not depend on which worker ran which task before.
+        samp = sb.task_copy()
         for pdf in batches:
             ids = pdf["id"].to_numpy(np.int64)
             if ids.shape[0] == 0:

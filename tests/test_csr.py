@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from repro.graph import csr
 from repro.graph.csr import from_edges
 from repro.synth_data import chung_lu_edges, node_types
 
-from tests.util import small_graph
+from tests.util import brute_edge_index, small_graph
 
 
 @pytest.fixture(scope="module")
@@ -50,17 +51,75 @@ def test_duplicate_edges_collapse_min_weight():
     assert (g.weights == 2.0).all()
 
 
+def _assert_edge_index_bruteforce(g, us, vs):
+    us_before, vs_before = us.copy(), vs.copy()
+    got = g.edge_index(us, vs)
+    assert got.dtype == np.int64 and got.shape == us.shape
+    np.testing.assert_array_equal(got, brute_edge_index(g, us, vs))
+    hit = got >= 0
+    assert (g.src[got[hit]] == us[hit]).all()
+    assert (g.indices[got[hit]] == vs[hit]).all()
+    # The search sorts a private key buffer, never the caller's arrays.
+    np.testing.assert_array_equal(us, us_before)
+    np.testing.assert_array_equal(vs, vs_before)
+
+
 def test_edge_index_vs_bruteforce(g):
     rng = np.random.default_rng(0)
     us = rng.integers(0, g.n, 500)
     vs = rng.integers(0, g.n, 500)
-    got = g.edge_index(us, vs)
-    for u, v, e in zip(us, vs, got):
-        nb = g.neighbors(int(u))
-        if int(v) in nb:
-            assert g.src[e] == u and g.indices[e] == v
-        else:
-            assert e == -1
+    _assert_edge_index_bruteforce(g, us, vs)
+
+
+@pytest.mark.parametrize("block", [None, 37], ids=["one_block", "blocks_of_37"])
+@pytest.mark.parametrize("kind", ["edges_unsorted_dup", "out_of_range", "empty"])
+def test_edge_index_vs_bruteforce_query_kinds(g, monkeypatch, kind, block):
+    if block is not None:
+        # Many sorted blocks, the last one partial.
+        monkeypatch.setattr(csr, "_SEARCH_BLOCK", block)
+    rng = np.random.default_rng(1)
+    if kind == "edges_unsorted_dup":
+        # Real edges, repeated and shuffled, mixed with misses.
+        e = rng.integers(0, g.m, 400)
+        us = np.concatenate([g.src[e], g.src[e[:100]], rng.integers(0, g.n, 100)])
+        vs = np.concatenate(
+            [g.indices[e], g.indices[e[:100]], rng.integers(0, g.n, 100)]
+        )
+        perm = rng.permutation(us.shape[0])
+        us, vs = us[perm], vs[perm].astype(np.int32)
+    elif kind == "out_of_range":
+        # Random ids on both sides of [0, n), plus ids whose composite
+        # key u*n+v equals that of a real edge.
+        e = rng.integers(0, g.m, 50)
+        us = np.concatenate(
+            [rng.integers(-g.n, 2 * g.n, 600), g.src[e] + 1, g.src[e] - 1]
+        )
+        vs = np.concatenate(
+            [rng.integers(-g.n, 2 * g.n, 600), g.indices[e] - g.n, g.indices[e] + g.n]
+        )
+    else:
+        us, vs = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    _assert_edge_index_bruteforce(g, us, vs)
+
+
+def test_edge_index_out_of_range_ids_do_not_alias():
+    # With n = 5 the key of (1, -1) is 4, that of edge (0, 4); the key of
+    # (0, 5) is 5, that of edge (1, 0).
+    g = from_edges(np.array([0, 0]), np.array([4, 1]), n=5)
+    u = np.array([1, 0, 2, -1, 5])
+    v = np.array([-1, 5, -6, 4, -25])
+    assert (g.edge_index(u, v) == -1).all()
+    assert not g.has_edge(u, v).any()
+    assert g.has_edge(np.array([0, 1]), np.array([4, 0])).all()
+
+
+def test_edge_index_edgeless_graph():
+    g = from_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64), n=4)
+    assert g.m == 0
+    got = g.edge_index(np.array([0, 1, 3, -1]), np.array([1, 0, 2, 0]))
+    assert got.dtype == np.int64 and (got == -1).all()
+    assert not g.has_edge(np.array([0]), np.array([1]))[0]
+    assert g.edge_index(np.array([], dtype=np.int64), np.array([])).shape == (0,)
 
 
 def test_has_edge_matches_edge_index(g):

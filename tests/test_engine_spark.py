@@ -155,3 +155,20 @@ def test_engine_prepared_sampler_reused(spark, g):
         spark, g, model, num_walks=1, walk_length=5, prepared=s, seed=6
     )
     assert walks.count() == g.n
+
+
+@pytest.mark.parametrize("sampler", ["mh", "direct"])
+def test_engine_corpus_repeats_across_actions(spark, g, sampler):
+    """The M-H ``LAST_x`` store is task-local: a second action over the
+    same lazy corpus, served by the same cached broadcast in reused
+    Python workers, reproduces every walk."""
+    model = make_model("node2vec", p=0.25, q=4.0)
+    walks = generate_walks(
+        spark, g, model, num_walks=4, walk_length=20, sampler=sampler,
+        seed=7, num_partitions=8,
+    )
+    first, second = (
+        {r["walk_id"]: r["walk"] for r in walks.collect()} for _ in range(2)
+    )
+    assert len(first) == 4 * g.n
+    assert first == second

@@ -153,6 +153,20 @@ def test_mh_budget_charged_on_prepare(g):
     assert b.ledger["mh_last_states"] == 4 * g.m
 
 
+def test_mh_task_copy_starts_empty_without_second_charge(g):
+    b = MemoryBudget(None)
+    s = MHSampler(g, make_model("node2vec"), np.random.default_rng(0), budget=b)
+    s.prepare()
+    v, prev = good_state(g)
+    s.sample(state_batch(g, v, prev))
+    c = s.task_copy()
+    assert c.manager is not s.manager
+    assert c.manager.num_states == g.m and c.manager.initialized_count == 0
+    c.sample(state_batch(g, v, prev))
+    assert s.manager.initialized_count == 1
+    assert b.ledger == {"mh_last_states": 4 * g.m}
+
+
 def test_mh_deterministic_given_seed(g):
     model = make_model("node2vec", p=0.5, q=2)
     v, prev = good_state(g)

@@ -77,3 +77,18 @@ def good_state(g: CSRGraph, min_degree: int = 8):
     assert g.degrees[v] >= min_degree
     prev = int(g.neighbors(v)[0])
     return v, prev
+
+
+def brute_edge_index(g: CSRGraph, u, v) -> np.ndarray:
+    """Loop reference for :meth:`CSRGraph.edge_index`: the slot of ``v``
+    in ``u``'s adjacency row (per-row ``np.isin``), ``-1`` if absent or
+    if either id lies outside ``[0, n)``."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    out = np.full(u.shape, -1, dtype=np.int64)
+    for i, (a, b) in enumerate(zip(u, v)):
+        if 0 <= a < g.n and 0 <= b < g.n:
+            hit = np.flatnonzero(np.isin(g.neighbors(a), b))
+            if hit.size:
+                out[i] = g.indptr[a] + hit[0]
+    return out
