@@ -12,11 +12,13 @@ T_l (learning), T_t (total) for three implementations:
   init), the paper's contribution.
 
 T_i is the sampler's ``prepare()`` on the driver; T_w is the wall time
-of distributed walk generation (Spark ``mapInPandas`` engine); T_l is
-MLlib Word2Vec training (computed once per model+dataset and shared
-across implementations — the learning phase is identical and outside
-the paper's contribution). ``*`` marks a sampler whose simulated
-memory ledger exceeds the paper-scaled budget.
+of distributed walk generation (Spark ``mapInPandas`` engine), whose
+count persists the corpus; T_l is MLlib Word2Vec training on the
+persisted M-H corpus, so it does not re-run walk generation (computed
+once per model+dataset and shared across implementations — the
+learning phase is identical and outside the paper's contribution).
+``*`` marks a sampler whose simulated memory ledger exceeds the
+paper-scaled budget.
 
 Env knobs: REPRO_T6_SKIP_BIG=1 skips the billion-edge stand-ins;
 REPRO_T6_REF_CAP seconds caps the reference runs (default 90);
@@ -31,6 +33,7 @@ import os
 from typing import Optional
 
 import numpy as np
+from pyspark import StorageLevel
 
 from repro.baselines.reference import reference_walks
 from repro.bench_utils import Timer, paper_budget, print_table
@@ -96,7 +99,10 @@ def run_impl(
     num_walks: int,
     walk_length: int,
 ):
-    """(T_i, T_w) for one UniNet implementation, or ('*', '*') on OOM."""
+    """(T_i, T_w, corpus) for one UniNet implementation, or
+    ('*', '*', None) on OOM. The corpus is persisted by the ``T_w``
+    count, so learning on it does not regenerate the walks; the caller
+    unpersists it."""
     g = load(ds)
     spec = DATASETS[ds]
     model = make_model(model_name, **MODEL_KW.get(model_name, {}))
@@ -111,7 +117,7 @@ def run_impl(
         walks = generate_walks(
             spark, g, model, num_walks=num_walks, walk_length=walk_length,
             prepared=s, seed=3,
-        )
+        ).persist(StorageLevel.MEMORY_AND_DISK)
         count_walk_tokens(walks)
     return ti.s, tw.s, walks
 
@@ -167,7 +173,7 @@ def main(spark=None):
 
             # --- UniNet (Orig) / UniNet (M-H) -------------------------
             orig_name = ORIG_SAMPLER.get(model_name, "direct")
-            orig_ti, orig_tw, _ = run_impl(
+            orig_ti, orig_tw, orig_walks = run_impl(
                 spark, model_name, ds, orig_name, num_walks, walk_length
             )
             mh_ti, mh_tw, mh_walks = run_impl(
@@ -175,6 +181,9 @@ def main(spark=None):
             )
             # --- shared learning phase --------------------------------
             tl = run_learning(spark, mh_walks, big) if mh_walks is not None else None
+            for walks in (orig_walks, mh_walks):
+                if walks is not None:
+                    walks.unpersist()
 
             def total(ti, tw):
                 if isinstance(ti, str) or isinstance(tw, str) or tl is None:

@@ -72,22 +72,72 @@ def print_table(
     return text
 
 
-def get_or_create_spark(app: str = "repro-job"):
-    """SparkSession for standalone ``jobs/`` entry points (tests use the
-    conftest ``spark`` fixture instead). Mirrors the conftest config:
-    local[*], broadcast joins disabled, Arrow on."""
+def driver_mem() -> str:
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback. Records where the value came from in
+    ``_SPARK_DRIVER_MEM_SRC``.
+
+    The cgroup read is best-effort: a container runtime's sysfs
+    emulation may not pass the host limit through. An unbounded
+    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
+    is treated as absent so the JVM is never handed an impossible heap.
+    """
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    for p in (
+        "/sys/fs/cgroup/memory.max",
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+    ):
+        try:
+            with open(p) as f:
+                raw = f.read().strip()
+            if not raw or raw == "max":
+                continue
+            gib = int(raw) / (1 << 30)
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+                continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
+            return f"{max(1, int(gib * 0.75))}g"
+        except (OSError, ValueError):
+            continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+    return "48g"
+
+
+def set_spark_submit_args() -> None:
+    """Default ``SPARK_DRIVER_MEM`` and ``PYSPARK_SUBMIT_ARGS`` (master
+    ``SPARK_MASTER`` or local[*], :func:`driver_mem`, UI off); values
+    already set win. spark.driver.memory is read at JVM launch, not
+    from SparkConf, so this must run before the JVM starts."""
+    os.environ.setdefault("SPARK_DRIVER_MEM", driver_mem())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '40g')} "
+        f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
+
+
+def get_or_create_spark(app: str = "repro-job"):
+    """The repo's one SparkSession recipe, for ``jobs/`` entry points
+    and the tests' ``spark`` fixture: :func:`set_spark_submit_args`,
+    then the per-session configs honoured after launch — shuffle
+    partitions (``SPARK_SHUFFLE_PARTITIONS``, default 64), Arrow on and
+    broadcast joins disabled, so papers about shuffle/join algorithms
+    exercise the shuffle path at SF~=0.1 (a reproduction that wants a
+    broadcast join sets the threshold back for that query)."""
+    set_spark_submit_args()
     from pyspark.sql import SparkSession
 
     return (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
+        .config(
+            "spark.sql.shuffle.partitions",
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
+        )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -111,10 +111,15 @@ def node2vec_alpha(
     fairwalk: 1/p if the candidate is the previous node, 1 if it is a
     neighbor of the previous node, 1/q otherwise.
 
-    The ``has_edge`` membership test is the binary search the paper
-    charges to node2vec's weight: a sorted batch search of the global
-    composite key, ``O(log m)`` per query plus its share of sorting a
-    block of up to 2**21 query keys (see :mod:`repro.graph.csr`).
+    The membership test asks ``has_edge(prev, cand)``, which equals
+    ``d(cand, prev) == 1`` because every graph the repo builds is
+    symmetrized (``from_edges`` by default, the Spark builder through
+    ``clean_edges``). It is the search the paper charges to node2vec's
+    weight (see :mod:`repro.graph.csr`): for walker batches, whose
+    ``prev`` is unsorted, a sorted batch search of the global composite
+    key, ``O(log m)`` per query plus its share of sorting a block of up
+    to 2**21 query keys; for alias-table builds, whose ``prev`` is the
+    non-decreasing edge source, an O(1) marker lookup per query.
     """
     alpha = np.full(cand.shape[0], 1.0 / q, dtype=np.float64)
     back = cand == prev
@@ -122,6 +127,6 @@ def node2vec_alpha(
     chk = ~back
     if chk.any():
         common = np.zeros(cand.shape[0], dtype=bool)
-        common[chk] = g.has_edge(cand[chk], prev[chk])
+        common[chk] = g.has_edge(prev[chk], cand[chk])
         alpha[common] = 1.0
     return alpha

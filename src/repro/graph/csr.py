@@ -16,6 +16,14 @@ key (``O(b log m)`` comparisons), and the hits are scattered back.
 Sorted queries touch the key in increasing order, so successive
 searches share the cache lines of their upper probes; unsorted ones
 miss the cache on nearly every probe once the key outgrows it.
+
+``has_edge`` has one more path, an O(1) lookup per query like the hash
+set of the original node2vec precompute. When the sources ``u`` are
+non-decreasing and their rows ``u[0]..u[-1]`` span at most
+``_MARK_CELLS`` (row, node) cells, it marks those rows' out-neighbours
+in one bool array and gathers the queries from it. Alias-table builds
+query in edge-source order and take this path; walker batches are
+unsorted and take the sorted search.
 """
 from __future__ import annotations
 
@@ -32,6 +40,9 @@ import numpy as np
 #: search it replaces, and its order, sorted-key and position arrays
 #: grow with the call; 2 M-key blocks bound each of them at 16 MB.
 _SEARCH_BLOCK = 1 << 21
+#: Largest (row, node) marker array of :meth:`CSRGraph.has_edge`'s
+#: sorted-source path: 8 MB of bools.
+_MARK_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -129,8 +140,47 @@ class CSRGraph:
         return out
 
     def has_edge(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized edge-existence test (node2vec's ``d(u, s) == 1``)."""
+        """Vectorized edge-existence test (node2vec's ``d(u, s) == 1``);
+        ``False`` if ``u`` or ``v`` lies outside ``[0, n)``.
+
+        Non-decreasing 1-D ``u`` whose rows ``u[0]..u[-1]`` span at most
+        ``_MARK_CELLS`` cells are answered from a marker array (see the
+        module docstring); every other call is ``edge_index(u, v) >= 0``.
+        Both are exact for any graph, symmetric or not.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if (
+            u.ndim == 1
+            and u.shape == v.shape
+            and u.size
+            and (int(u[-1]) - int(u[0]) + 1) * self.n <= _MARK_CELLS
+            and (u[1:] >= u[:-1]).all()
+        ):
+            return self._has_edge_marked(u, v)
         return self.edge_index(u, v) >= 0
+
+    def _has_edge_marked(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``has_edge`` for non-decreasing ``u``: mark the out-neighbours
+        of the in-range rows ``lo..hi`` at cells ``(row - lo) * n + nbr``,
+        then gather each query's cell."""
+        n = self.n
+        out = np.zeros(u.shape[0], dtype=bool)
+        # u is sorted, so the queries with 0 <= u < n are one slice.
+        i0, i1 = (int(i) for i in np.searchsorted(u, [0, n]))
+        if i0 == i1:
+            return out
+        lo, hi = int(u[i0]), int(u[i1 - 1])
+        a, b = self.indptr[lo], self.indptr[hi + 1]
+        size = (hi - lo + 1) * n
+        # The extra last cell is never marked: out-of-range v reads it.
+        mark = np.zeros(size + 1, dtype=bool)
+        mark[(self.src[a:b] - lo) * n + self.indices[a:b]] = True
+        vs = v[i0:i1]
+        cell = (u[i0:i1] - lo) * n + vs
+        np.copyto(cell, size, where=vs.view(np.uint64) >= n)
+        out[i0:i1] = mark[cell]
+        return out
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]

@@ -10,17 +10,24 @@ simulated budget), and sampling is a constant-depth lookup.
 
 Implementation note (DESIGN.md §3): the per-state structure is a
 precomputed cumulative table queried by one vectorized binary search
-(O(log d)) rather than a literal Vose alias pair — construction
-vectorizes across all states, memory is byte-equivalent, and query cost
-is indistinguishable at benchmark scale; the defining characteristics
-(huge ``T_i``, O(d·#state) memory, parameter-insensitive sampling) are
-preserved.
+(O(log d)) rather than a literal Vose alias pair — memory is
+byte-equivalent and query cost is indistinguishable at benchmark scale;
+the defining characteristics (huge ``T_i``, O(d·#state) memory,
+parameter-insensitive sampling) are preserved. :func:`build_tables`
+streams the construction: it evaluates the dynamic weights of at most
+``_CHUNK_ENTRIES`` (state, candidate) entries at a time straight into
+the preallocated table and accumulates it in place, so no full-length
+temporary exists besides the table itself. States are enumerated by
+edge source, so node2vec's membership queries arrive with
+non-decreasing ``prev`` and take ``CSRGraph.has_edge``'s O(1) marker
+path. The memory-aware sampler builds and queries its tables with the
+same two functions.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.abstraction import WalkerBatch
+from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
 from repro.models.metapath2vec import MetaPath2Vec
 from repro.samplers.base import (
@@ -29,43 +36,103 @@ from repro.samplers.base import (
     MemoryBudgetExceeded,
     REAL_ENTRY_CAP,
 )
-from repro.samplers.segment import ragged_arange, segment_ids
+
+#: (state, candidate) entries whose dynamic weights one chunk of
+#: :func:`build_tables` evaluates: each of the chunk's walker, candidate
+#: and weight temporaries stays within 2 MB.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def build_tables(
+    g: CSRGraph,
+    model: RandomWalkModel,
+    states: WalkerBatch,
+    lens: np.ndarray,
+    what: str,
+):
+    """Cumulative dynamic-weight tables of the walkers ``states``, one
+    per state over the ``lens[i]`` neighbours of ``states.cur[i]``.
+
+    Returns ``(cum, offs)``: the table of state ``i`` spans
+    ``cum[offs[i]:offs[i + 1] + 1]``, a running sum over all tables
+    that starts at 0. Raises :class:`MemoryBudgetExceeded` before any
+    allocation when the tables need more than ``REAL_ENTRY_CAP``
+    entries. Chunks of at most ``_CHUNK_ENTRIES`` entries (a chunk may
+    cut a state) write their weights into ``cum[1:]``; the final
+    in-place ``cumsum`` is sequential, so ``cum`` is bit-identical to
+    ``concatenate([[0], cumsum(w)])`` over the whole weight vector.
+    """
+    offs = np.zeros(len(states) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offs[1:])
+    total = int(offs[-1])
+    if total > REAL_ENTRY_CAP:
+        raise MemoryBudgetExceeded(
+            f"{what} tables need {total:.2e} real entries > cap {REAL_ENTRY_CAP:.0e}"
+        )
+    cum = np.empty(total + 1, dtype=np.float64)
+    cum[0] = 0.0
+    for a in range(0, total, _CHUNK_ENTRIES):
+        b = min(a + _CHUNK_ENTRIES, total)
+        # States s0..s1-1 own the entries a..b-1.
+        s0 = int(np.searchsorted(offs, a, side="right")) - 1
+        s1 = int(np.searchsorted(offs, b, side="left"))
+        first = np.maximum(offs[s0:s1], a)
+        last = np.minimum(offs[s0 + 1 : s1 + 1], b)
+        sid = np.repeat(np.arange(s0, s1, dtype=np.int64), last - first)
+        wk = states.take(sid)
+        cand_eidx = g.indptr[wk.cur] + (np.arange(a, b, dtype=np.int64) - offs[sid])
+        cum[a + 1 : b + 1] = model.dyn_weight(g, wk, cand_eidx)
+    np.cumsum(cum, out=cum)
+    return cum, offs
+
+
+def sample_tables(
+    cum: np.ndarray,
+    offs: np.ndarray,
+    table: np.ndarray,
+    first_slot: np.ndarray,
+    u: np.ndarray,
+) -> np.ndarray:
+    """Inverse-CDF draw from tables ``table`` of :func:`build_tables`
+    with uniforms ``u``: one windowed ``searchsorted`` over the global
+    running sum. Returns the drawn candidate's global CSR slot
+    (``first_slot`` is each walker's ``indptr[cur]``), ``-1`` where the
+    table's total weight is ~0 (no valid candidate)."""
+    lo = offs[table]
+    hi = offs[table + 1]
+    base = cum[lo]
+    totals = cum[hi] - base
+    pos = np.searchsorted(cum, base + u * totals, side="right") - 1
+    pos = np.clip(pos, lo, np.maximum(hi - 1, lo))
+    return np.where(totals > 1e-300, first_slot + (pos - lo), -1)
 
 
 def _enumerate_states(g: CSRGraph, model):
-    """Per-state metadata for full table materialization.
-
-    Returns ``(state_ids, cur, prev, prev_eidx, req_type, ent_lens)``
-    where entry ``i`` describes state ``state_ids[i]`` whose
-    distribution ranges over the ``ent_lens[i]`` neighbors of
-    ``cur[i]``.
-    """
+    """One walker per state, in state-index order, and the number of
+    candidates of each state (the degree of its current node)."""
     if model.order == 2:
-        # One state per directed edge (s -> v); distribution over N(v).
-        states = np.arange(g.m, dtype=np.int64)
-        cur = g.indices.astype(np.int64)
-        prev = g.src
-        prev_eidx = states
-        req = None
-        lens = g.degree(cur)
+        # One state per directed edge (s -> v), in edge-source order;
+        # distribution over N(v).
+        wk = WalkerBatch(
+            cur=g.indices.astype(np.int64),
+            prev=g.src,
+            prev_eidx=np.arange(g.m, dtype=np.int64),
+        )
     elif isinstance(model, MetaPath2Vec):
         # One state per (node, required type).
         T = g.n_types
         states = np.arange(g.n * T, dtype=np.int64)
-        cur = states // T
-        req = (states % T).astype(np.int16)
-        prev = np.full_like(cur, -1)
-        prev_eidx = np.full_like(cur, -1)
-        lens = g.degree(cur)
+        none = np.full_like(states, -1)
+        wk = WalkerBatch(
+            cur=states // T, prev=none, prev_eidx=none,
+            req_type=(states % T).astype(np.int16),
+        )
     else:
         # One state per node (deepwalk).
-        states = np.arange(g.n, dtype=np.int64)
-        cur = states
-        prev = np.full_like(cur, -1)
-        prev_eidx = np.full_like(cur, -1)
-        req = None
-        lens = g.degree(cur)
-    return states, cur, prev, prev_eidx, req, lens
+        cur = np.arange(g.n, dtype=np.int64)
+        none = np.full_like(cur, -1)
+        wk = WalkerBatch(cur=cur, prev=none, prev_eidx=none)
+    return wk, g.degree(wk.cur)
 
 
 class TableSampler(EdgeSampler):
@@ -75,49 +142,21 @@ class TableSampler(EdgeSampler):
 
     def prepare(self) -> None:
         g, model = self.g, self.model
-        states, cur, prev, prev_eidx, req, lens = _enumerate_states(g, model)
-        total = int(lens.sum())
+        states, lens = _enumerate_states(g, model)
         # Simulated-budget charge first (this is what reproduces the
         # paper's OOM cells), then the real-allocation guardrail.
-        self.budget.charge("alias_tables", BYTES_TABLE_ENTRY * total)
-        if total > REAL_ENTRY_CAP:
-            raise MemoryBudgetExceeded(
-                f"alias tables need {total:.2e} real entries > cap {REAL_ENTRY_CAP:.0e}"
-            )
-
-        sid = segment_ids(lens)
-        within = ragged_arange(lens)
-        cand_eidx = g.indptr[cur][sid] + within
-        wk_flat = WalkerBatch(
-            cur=cur[sid],
-            prev=prev[sid],
-            prev_eidx=prev_eidx[sid],
-            req_type=None if req is None else req[sid],
-        )
-        w = model.dyn_weight(g, wk_flat, cand_eidx)
-        # Global running cumsum over all per-state segments; per-state
-        # windows are recovered from offsets, so one searchsorted serves
-        # every query.
-        self._cum = np.concatenate([[0.0], np.cumsum(w, dtype=np.float64)])
-        offs = np.zeros(states.shape[0] + 1, dtype=np.int64)
-        np.cumsum(lens, out=offs[1:])
-        self._offs = offs
+        self.budget.charge("alias_tables", BYTES_TABLE_ENTRY * int(lens.sum()))
+        self._cum, self._offs = build_tables(g, model, states, lens, "alias")
         self._prepared = True
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         if not self._prepared:
             self.prepare()
         g = self.g
-        state = self.model.state_index(g, wk)
-        lo = self._offs[state]
-        hi = self._offs[state + 1]
-        base = self._cum[lo]
-        totals = self._cum[hi] - base
-        target = base + self.rng.random(len(wk)) * totals
-        pos = np.searchsorted(self._cum, target, side="right") - 1
-        pos = np.clip(pos, lo, np.maximum(hi - 1, lo))
-        within = pos - lo
-        eidx = g.indptr[wk.cur] + within
+        eidx = sample_tables(
+            self._cum, self._offs, self.model.state_index(g, wk),
+            g.indptr[wk.cur], self.rng.random(len(wk)),
+        )
         self.stats["proposals"] += len(wk)
         self.stats["accepts"] += len(wk)
-        return np.where(totals > 1e-300, eidx, -1)
+        return eidx

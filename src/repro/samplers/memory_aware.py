@@ -5,7 +5,10 @@ For second-order walks it schedules *which* states get a precomputed
 visit frequency per table byte; every other state falls back to the
 O(d) direct sampler. This reproduces the comparator's defining
 behaviour: it always fits in memory (handles the largest graphs) but is
-slow when the budget covers few hot states (paper §V-D).
+slow when the budget covers few hot states (paper §V-D). The chosen
+states' tables are built and queried by the alias sampler's
+:func:`~repro.samplers.alias.build_tables` (streamed in chunks, in
+ranking order) and :func:`~repro.samplers.alias.sample_tables`.
 """
 from __future__ import annotations
 
@@ -15,15 +18,9 @@ import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
-from repro.samplers.base import (
-    BYTES_TABLE_ENTRY,
-    EdgeSampler,
-    MemoryBudget,
-    REAL_ENTRY_CAP,
-    MemoryBudgetExceeded,
-)
+from repro.samplers.alias import build_tables, sample_tables
+from repro.samplers.base import BYTES_TABLE_ENTRY, EdgeSampler, MemoryBudget
 from repro.samplers.direct import DirectSampler
-from repro.samplers.segment import ragged_arange, segment_ids
 
 
 class MemoryAwareSampler(EdgeSampler):
@@ -69,41 +66,16 @@ class MemoryAwareSampler(EdgeSampler):
 
         self._table_id = np.full(g.m, -1, dtype=np.int64)
         self._table_id[assigned] = np.arange(k)
-        lens = lens_all[assigned]
-        total = int(lens.sum())
-        if total > REAL_ENTRY_CAP:
-            raise MemoryBudgetExceeded(
-                f"memory-aware tables need {total:.2e} real entries"
-            )
-        sid = segment_ids(lens)
-        cur = dst[assigned]
-        wk_flat = WalkerBatch(
-            cur=cur[sid],
-            prev=g.src[assigned][sid],
-            prev_eidx=assigned[sid],
-            req_type=None,
+        states = WalkerBatch(
+            cur=dst[assigned], prev=g.src[assigned], prev_eidx=assigned
         )
-        cand_eidx = g.indptr[cur][sid] + ragged_arange(lens)
-        w = model.dyn_weight(g, wk_flat, cand_eidx)
-        self._cum = np.concatenate([[0.0], np.cumsum(w, dtype=np.float64)])
-        offs = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(lens, out=offs[1:])
-        self._offs = offs
+        self._cum, self._offs = build_tables(
+            g, model, states, lens_all[assigned], "memory-aware"
+        )
         self.assigned_states = k
         self._prepared = True
 
     # ------------------------------------------------------------------
-    def _sample_tabled(self, wk: WalkerBatch, tid: np.ndarray) -> np.ndarray:
-        g = self.g
-        lo = self._offs[tid]
-        hi = self._offs[tid + 1]
-        base = self._cum[lo]
-        totals = self._cum[hi] - base
-        target = base + self.rng.random(len(wk)) * totals
-        pos = np.searchsorted(self._cum, target, side="right") - 1
-        pos = np.clip(pos, lo, np.maximum(hi - 1, lo))
-        return np.where(totals > 1e-300, g.indptr[wk.cur] + (pos - lo), -1)
-
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         if not self._prepared:
             self.prepare()
@@ -112,7 +84,10 @@ class MemoryAwareSampler(EdgeSampler):
         hit = tid >= 0
         out = np.full(len(wk), -1, dtype=np.int64)
         if hit.any():
-            out[hit] = self._sample_tabled(wk.take(hit), tid[hit])
+            out[hit] = sample_tables(
+                self._cum, self._offs, tid[hit], self.g.indptr[wk.cur[hit]],
+                self.rng.random(int(hit.sum())),
+            )
         miss = ~hit
         if miss.any():
             out[miss] = self._direct.sample(wk.take(miss))

@@ -1,8 +1,17 @@
 """WalkerBatch and bench utilities."""
+import os
+
 import numpy as np
 import pytest
 
-from repro.bench_utils import Timer, fmt_cell, paper_budget, print_table
+from repro.bench_utils import (
+    Timer,
+    driver_mem,
+    fmt_cell,
+    paper_budget,
+    print_table,
+    set_spark_submit_args,
+)
 from repro.core.abstraction import WalkerBatch
 from repro.datasets import DATASETS, load
 
@@ -70,3 +79,28 @@ def test_paper_budget_precharges_graph():
     b = paper_budget(DATASETS["acm_lite"], g)
     assert b.ledger["graph_csr"] == 4 * g.m
     assert b.budget == pytest.approx(96e9 * g.m / DATASETS["acm_lite"].paper_edges)
+
+
+def test_driver_mem_env_override_wins(monkeypatch):
+    monkeypatch.setenv("SPARK_DRIVER_MEM", "3g")
+    assert driver_mem() == "3g"
+
+
+def test_driver_mem_derived_without_override(monkeypatch):
+    monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+    monkeypatch.delenv("_SPARK_DRIVER_MEM_SRC", raising=False)
+    mem = driver_mem()
+    assert mem.endswith("g") and int(mem[:-1]) >= 1
+    src = os.environ["_SPARK_DRIVER_MEM_SRC"]
+    assert src == "fallback" or src.startswith("cgroup:")
+
+
+def test_spark_submit_args_keep_existing_values(monkeypatch):
+    monkeypatch.setenv("SPARK_DRIVER_MEM", "5g")
+    monkeypatch.delenv("PYSPARK_SUBMIT_ARGS", raising=False)
+    set_spark_submit_args()
+    args = os.environ["PYSPARK_SUBMIT_ARGS"]
+    assert "--driver-memory 5g" in args and args.endswith("pyspark-shell")
+    monkeypatch.setenv("PYSPARK_SUBMIT_ARGS", "--master local[1] pyspark-shell")
+    set_spark_submit_args()
+    assert os.environ["PYSPARK_SUBMIT_ARGS"] == "--master local[1] pyspark-shell"

@@ -135,6 +135,105 @@ def test_has_edge_handles_negative_prev(g):
     assert not g.has_edge(np.array([-1]), np.array([0]))[0]
 
 
+def _sorted_queries(g, rng, lo, hi, k):
+    """``k`` queries with sources in ``lo..hi`` sorted (duplicates
+    included), half of them real edges and half random or out-of-range
+    targets."""
+    rows = np.sort(rng.integers(lo, hi + 1, k))
+    inside = (rows >= 0) & (rows < g.n)
+    deg = np.zeros(k, dtype=np.int64)
+    deg[inside] = g.degree(rows[inside])
+    edge = (rng.random(k) < 0.5) & (deg > 0)
+    vs = rng.integers(-3, g.n + 3, k)
+    within = (rng.random(k) * np.maximum(deg, 1)).astype(np.int64)
+    slot = g.indptr[np.clip(rows, 0, g.n - 1)] + within
+    vs[edge] = g.indices[slot[edge]]
+    return rows, vs
+
+
+def _spy_edge_index(monkeypatch):
+    """Count calls of ``CSRGraph.edge_index``: 0 after a ``has_edge``
+    call means the marker path answered it."""
+    calls = []
+    orig = csr.CSRGraph.edge_index
+
+    def spy(self, u, v):
+        calls.append(len(np.asarray(u)))
+        return orig(self, u, v)
+
+    monkeypatch.setattr(csr.CSRGraph, "edge_index", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(0, 0), (5, 40), (-4, 12), (180, 230), (-9, -1), (200, 260)],
+    ids=["one_row", "rows", "negative_ids", "ids_past_n", "all_negative", "all_past_n"],
+)
+def test_has_edge_marker_path_matches_edge_index(g, monkeypatch, lo, hi):
+    rng = np.random.default_rng(lo + 1000)
+    us, vs = _sorted_queries(g, rng, lo, hi, 700)
+    want = g.edge_index(us, vs) >= 0
+    calls = _spy_edge_index(monkeypatch)
+    got = g.has_edge(us, vs)
+    assert calls == []
+    assert got.dtype == bool and got.shape == us.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, brute_edge_index(g, us, vs) >= 0)
+
+
+def test_has_edge_marker_path_duplicates_and_empty(g, monkeypatch):
+    e = np.repeat(np.arange(30, 60), 3)
+    us, vs = g.src[e], g.indices[e].astype(np.int64)
+    calls = _spy_edge_index(monkeypatch)
+    assert g.has_edge(us, vs).all()
+    assert not g.has_edge(us, vs + g.n).any()
+    assert calls == []
+    empty = np.array([], dtype=np.int64)
+    assert g.has_edge(empty, empty).shape == (0,)
+
+
+def test_has_edge_marker_path_edgeless_graph(monkeypatch):
+    g0 = from_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64), n=4)
+    calls = _spy_edge_index(monkeypatch)
+    us = np.array([-1, 0, 1, 1, 3, 4])
+    assert not g0.has_edge(us, np.array([1, 1, 0, 9, 2, 0])).any()
+    assert calls == []
+
+
+def test_has_edge_marker_path_directed_graph(monkeypatch):
+    """Exact without symmetry: (u, v) and (v, u) are different queries."""
+    gd = from_edges(
+        np.array([0, 0, 1, 2, 3]), np.array([1, 2, 2, 0, 1]), n=5, symmetrize=False
+    )
+    us = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3, 4])
+    vs = np.array([1, 2, 3, 0, 2, 0, 1, 1, 0, 0])
+    calls = _spy_edge_index(monkeypatch)
+    got = gd.has_edge(us, vs)
+    assert calls == []
+    np.testing.assert_array_equal(got, brute_edge_index(gd, us, vs) >= 0)
+    np.testing.assert_array_equal(
+        got, [True, True, False, False, True, True, False, True, False, False]
+    )
+
+
+@pytest.mark.parametrize("kind", ["span_over_bound", "unsorted"])
+def test_has_edge_falls_back_to_edge_index(g, monkeypatch, kind):
+    rng = np.random.default_rng(5)
+    us, vs = _sorted_queries(g, rng, 0, g.n - 1, 500)
+    if kind == "span_over_bound":
+        # The rows u[0]..u[-1] need more cells than the bound allows.
+        span = int(us[-1] - us[0] + 1)
+        monkeypatch.setattr(csr, "_MARK_CELLS", span * g.n - 1)
+    else:
+        perm = rng.permutation(us.shape[0])
+        us, vs = us[perm], vs[perm]
+    want = brute_edge_index(g, us, vs) >= 0
+    calls = _spy_edge_index(monkeypatch)
+    np.testing.assert_array_equal(g.has_edge(us, vs), want)
+    assert calls == [us.shape[0]]
+
+
 def test_degree_vectorized(g):
     vs = np.arange(g.n)
     assert (g.degree(vs) == np.diff(g.indptr)).all()

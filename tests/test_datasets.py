@@ -27,6 +27,15 @@ def test_registry_builds_and_matches_spec(name):
     assert spec.avg_degree / 2.5 < mean_deg < spec.avg_degree * 1.5
 
 
+@pytest.mark.parametrize("name", list(DATASETS))
+def test_registry_graphs_are_symmetric(name):
+    """(u, v) is an edge slot iff (v, u) is: node2vec's α asks
+    ``has_edge(prev, cand)`` for ``d(cand, prev) == 1``."""
+    g = load(name)
+    reverse_key = np.sort(g.indices.astype(np.int64) * g.n + g.src)
+    np.testing.assert_array_equal(reverse_key, g.comp_key)
+
+
 def test_load_caches():
     assert load("acm_lite") is load("acm_lite")
     assert load("acm_lite", cache=False) is not load("acm_lite")

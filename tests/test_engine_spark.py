@@ -157,11 +157,16 @@ def test_engine_prepared_sampler_reused(spark, g):
     assert walks.count() == g.n
 
 
-@pytest.mark.parametrize("sampler", ["mh", "direct"])
+@pytest.mark.parametrize(
+    "sampler",
+    ["mh", "direct", "alias", "rejection", "knightking", "memory_aware"],
+)
 def test_engine_corpus_repeats_across_actions(spark, g, sampler):
-    """The M-H ``LAST_x`` store is task-local: a second action over the
-    same lazy corpus, served by the same cached broadcast in reused
-    Python workers, reproduces every walk."""
+    """A corpus is a pure function of its inputs for every sampler
+    family: a second action over the same lazy corpus, served by the
+    same cached broadcast in reused Python workers, reproduces every
+    walk (the M-H ``LAST_x`` store is task-local; table and nested
+    samplers share only read-only state)."""
     model = make_model("node2vec", p=0.25, q=4.0)
     walks = generate_walks(
         spark, g, model, num_walks=4, walk_length=20, sampler=sampler,

@@ -38,6 +38,19 @@ def test_table6_run_impl_mh(spark):
     ti, tw, walks = t6.run_impl(spark, "deepwalk", "acm_lite", "mh", 1, 10)
     assert isinstance(ti, float) and isinstance(tw, float)
     assert walks is not None
+    walks.unpersist()
+
+
+def test_table6_run_impl_persists_corpus(spark):
+    """T_l trains on the corpus T_w counted: it is persisted, so
+    Word2Vec does not regenerate the walks."""
+    _, _, walks = t6.run_impl(spark, "node2vec", "blogcatalog_lite", "mh", 1, 5)
+    try:
+        assert walks.is_cached
+        assert walks.storageLevel.useMemory and walks.storageLevel.useDisk
+    finally:
+        walks.unpersist()
+    assert not walks.is_cached
 
 
 def test_table6_run_impl_oom(spark):

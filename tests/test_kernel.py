@@ -124,8 +124,9 @@ def test_long_walk_visits_many_nodes(g):
 @pytest.mark.parametrize("sname", ["mh-weight", "mh-random", "alias", "knightking"])
 @pytest.mark.parametrize("mname", ["node2vec", "edge2vec", "fairwalk"])
 def test_walks_match_bruteforce_edge_index(g, monkeypatch, mname, sname):
-    """The sorted batch ``edge_index`` behind node2vec's α changes no
-    walk: a fixed seed gives the same corpus as a loop lookup."""
+    """The sorted batch ``edge_index`` and ``has_edge``'s marker path
+    behind node2vec's α change no walk: a fixed seed gives the same
+    corpus as a loop lookup."""
     from repro.graph.csr import CSRGraph
 
     model = make_model(mname, p=0.25, q=4.0)
@@ -138,4 +139,7 @@ def test_walks_match_bruteforce_edge_index(g, monkeypatch, mname, sname):
 
     fast = walks()
     monkeypatch.setattr(CSRGraph, "edge_index", brute_edge_index)
+    monkeypatch.setattr(
+        CSRGraph, "has_edge", lambda self, u, v: brute_edge_index(self, u, v) >= 0
+    )
     np.testing.assert_array_equal(fast, walks())

@@ -4,9 +4,10 @@ static)."""
 import numpy as np
 import pytest
 
+from repro.core.abstraction import WalkerBatch
 from repro.core.theory import exact_transition, tv_distance
 from repro.models import make_model
-from repro.samplers import make_sampler
+from repro.samplers import alias, make_sampler
 from repro.samplers.base import (
     MemoryBudget,
     MemoryBudgetExceeded,
@@ -109,6 +110,93 @@ def test_segmented_choice_distribution():
 def test_segmented_choice_zero_total_returns_minus_one():
     off = segmented_choice(np.zeros(4), np.array([2, 2]), np.array([0.5, 0.5]))
     assert (off == -1).all()
+
+
+# ----------------------------------------------------------------------
+# Streamed table build: bit-identical to an all-at-once build
+# ----------------------------------------------------------------------
+def _reference_tables(g, model, states=None):
+    """All-at-once build (every entry's walker, candidate and weight at
+    once, then one ``cumsum``): the tables the streamed build must
+    reproduce bit for bit. ``states`` selects order-2 edge states
+    (memory-aware), in table order; default: every state of the model."""
+    if model.order == 2:
+        prev_eidx = np.arange(g.m, dtype=np.int64) if states is None else states
+        cur = g.indices[prev_eidx].astype(np.int64)
+        prev, req = g.src[prev_eidx], None
+    elif model.name == "metapath2vec":
+        T = g.n_types
+        flat = np.arange(g.n * T, dtype=np.int64)
+        cur, req = flat // T, (flat % T).astype(np.int16)
+        prev = prev_eidx = np.full_like(cur, -1)
+    else:
+        cur = np.arange(g.n, dtype=np.int64)
+        prev = prev_eidx = np.full_like(cur, -1)
+        req = None
+    lens = g.degree(cur)
+    sid = segment_ids(lens)
+    wk = WalkerBatch(
+        cur[sid], prev[sid], prev_eidx[sid], None if req is None else req[sid]
+    )
+    w = model.dyn_weight(g, wk, g.indptr[cur][sid] + ragged_arange(lens))
+    cum = np.concatenate([[0.0], np.cumsum(w, dtype=np.float64)])
+    offs = np.zeros(lens.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lens, out=offs[1:])
+    return cum, offs
+
+
+def _assert_bit_identical(cum, offs, ref_cum, ref_offs, chunk):
+    np.testing.assert_array_equal(offs, ref_offs)
+    assert cum.dtype == np.float64 and cum.shape == ref_cum.shape
+    np.testing.assert_array_equal(cum.view(np.int64), ref_cum.view(np.int64))
+    # The patched chunk cut states, and with them source rows, in two.
+    cuts = np.arange(chunk, int(offs[-1]), chunk)
+    assert (~np.isin(cuts, offs)).sum() > 10
+
+
+@pytest.mark.parametrize("mname,kw,st", MODELS)
+def test_alias_tables_match_all_at_once_build(g, monkeypatch, mname, kw, st):
+    monkeypatch.setattr(alias, "_CHUNK_ENTRIES", 37)
+    model = make_model(mname, **kw)
+    s = make_sampler("alias", g, model, np.random.default_rng(0))
+    s.prepare()
+    _assert_bit_identical(s._cum, s._offs, *_reference_tables(g, model), 37)
+
+
+@pytest.mark.parametrize("mname", ["node2vec", "edge2vec", "fairwalk"])
+def test_memory_aware_tables_match_all_at_once_build(g, monkeypatch, mname):
+    monkeypatch.setattr(alias, "_CHUNK_ENTRIES", 37)
+    model = make_model(mname, p=0.25, q=4.0)
+    s = make_sampler(
+        "memory_aware", g, model, np.random.default_rng(0),
+        table_budget_bytes=12.0 * g.m * 4,
+    )
+    s.prepare()
+    assert 0 < s.assigned_states < g.m
+    # Tabled states in table order (ranked, not sorted by source).
+    tabled = np.flatnonzero(s._table_id >= 0)
+    assigned = np.empty(s.assigned_states, dtype=np.int64)
+    assigned[s._table_id[tabled]] = tabled
+    assert (np.diff(g.src[assigned]) < 0).any()
+    _assert_bit_identical(s._cum, s._offs, *_reference_tables(g, model, assigned), 37)
+
+
+def test_table_build_checks_real_cap_before_allocating(g, monkeypatch):
+    """The simulated charge lands first; then the real-entry cap raises
+    before any table or weight is built."""
+    monkeypatch.setattr(alias, "REAL_ENTRY_CAP", 100)
+    model = make_model("node2vec")
+    calls = []
+    monkeypatch.setattr(
+        type(model), "dyn_weight", lambda *a: calls.append(1) or np.zeros(0)
+    )
+    b = MemoryBudget(None)
+    s = make_sampler("alias", g, model, np.random.default_rng(0), b)
+    with pytest.raises(MemoryBudgetExceeded, match="real entries"):
+        s.prepare()
+    entries = int(g.degree(g.indices.astype(np.int64)).sum())
+    assert b.ledger["alias_tables"] == 12 * entries
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
