@@ -3,7 +3,8 @@
 The paper's complexity table in one benchmark: one vectorized walk
 step for a large walker batch on flickr_lite under node2vec
 (p=0.25, q=4). Expected ordering: alias ≈ mh < knightking <
-rejection < direct (direct pays O(d) per step).
+rejection < direct (direct pays O(d) per step). The table samplers'
+``prepare()`` (Table VI's ``T_i``) is timed on its own.
 """
 import numpy as np
 import pytest
@@ -56,3 +57,16 @@ def test_mh_initialization_cost(benchmark, init):
         s.sample(wk)
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
+
+
+@pytest.mark.parametrize("sname", ["alias", "memory_aware"])
+def test_table_prepare_cost(benchmark, sname):
+    """``T_i`` of the table samplers: building every state's table
+    (alias) or the budgeted hot states' tables (memory-aware)."""
+    g = load("flickr_lite")
+    model = make_model("node2vec", p=0.25, q=4.0)
+
+    def run():
+        make_sampler(sname, g, model, np.random.default_rng(0)).prepare()
+
+    benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)

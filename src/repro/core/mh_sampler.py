@@ -80,21 +80,31 @@ class MHSampler(EdgeSampler):
         ratio = np.where(w_last > 0.0, w_cand / np.maximum(w_last, 1e-300), 0.0)
         return np.where(w_last > 0.0, u < ratio, w_cand > 0.0)
 
+    def _propose(self, wk: WalkerBatch) -> np.ndarray:
+        """Uniform candidate slots ``q(·|u) = 1/deg``, one per walker."""
+        deg = self.g.degree(wk.cur)
+        return np.minimum((self.rng.random(len(wk)) * deg).astype(np.int64), deg - 1)
+
+    def _transition(
+        self,
+        slot: np.ndarray,
+        w_slot: np.ndarray,
+        cand_slot: np.ndarray,
+        w_cand: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Accept or reject the candidates; returns (new slot, its weight)."""
+        acc = self._accept(w_cand, w_slot, self.rng.random(len(slot)))
+        self.stats["proposals"] += len(slot)
+        self.stats["accepts"] += int(acc.sum())
+        return np.where(acc, cand_slot, slot), np.where(acc, w_cand, w_slot)
+
     def _mh_iterate(
         self, wk: WalkerBatch, slot: np.ndarray, w_slot: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """One M-H transition for a batch; returns (new slot, its weight)."""
-        g = self.g
-        deg = g.degree(wk.cur)
-        start = g.indptr[wk.cur]
-        cand_slot = np.minimum(
-            (self.rng.random(len(wk)) * deg).astype(np.int64), deg - 1
-        )
-        w_cand = self.model.dyn_weight(g, wk, start + cand_slot)
-        acc = self._accept(w_cand, w_slot, self.rng.random(len(wk)))
-        self.stats["proposals"] += len(wk)
-        self.stats["accepts"] += int(acc.sum())
-        return np.where(acc, cand_slot, slot), np.where(acc, w_cand, w_slot)
+        cand_slot = self._propose(wk)
+        w_cand = self.model.dyn_weight(self.g, wk, self.g.indptr[wk.cur] + cand_slot)
+        return self._transition(slot, w_slot, cand_slot, w_cand)
 
     def _retry_invalid(
         self,
@@ -191,7 +201,11 @@ class MHSampler(EdgeSampler):
 
         start = g.indptr[wk.cur]
         last = self.manager.get(state).astype(np.int64)
-        w_last = self.model.dyn_weight(g, wk, start + last)
-        new_slot, _ = self._mh_iterate(wk, last, w_last)
+        cand = self._propose(wk)
+        # w_last and w_cand in one dyn_weight call (one edge search):
+        # walker i's last slot at 2i, its candidate at 2i + 1.
+        pairs = np.repeat(start, 2) + np.column_stack([last, cand]).ravel()
+        w = self.model.dyn_weight(g, wk.repeat(2), pairs).reshape(-1, 2)
+        new_slot, _ = self._transition(last, w[:, 0], cand, w[:, 1])
         self.manager.set(state, new_slot)
         return start + new_slot

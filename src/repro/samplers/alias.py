@@ -14,16 +14,24 @@ precomputed cumulative table queried by one vectorized binary search
 byte-equivalent and query cost is indistinguishable at benchmark scale;
 the defining characteristics (huge ``T_i``, O(d·#state) memory,
 parameter-insensitive sampling) are preserved. :func:`build_tables`
-streams the construction: it evaluates the dynamic weights of at most
-``_CHUNK_ENTRIES`` (state, candidate) entries at a time straight into
-the preallocated table and accumulates it in place, so no full-length
-temporary exists besides the table itself. States are enumerated by
-edge source, so node2vec's membership queries arrive with
-non-decreasing ``prev`` and take ``CSRGraph.has_edge``'s O(1) marker
-path. The memory-aware sampler builds and queries its tables with the
-same two functions.
+streams the construction on every CPU the process may run on, as
+UniNet's threads do (paper §IV-A): a thread pool evaluates the dynamic
+weights of chunks of (state, candidate) entries straight into disjoint
+slices of the preallocated table, at most ``_CHUNK_ENTRIES`` entries in
+flight across all threads, and one sequential in-place ``cumsum``
+accumulates it afterwards. No full-length temporary exists besides the
+table itself, and since each entry's weight does not depend on its
+chunk and the sum runs in one fixed order, the table is bit-identical
+for any thread count and schedule. States are enumerated by edge
+source, so node2vec's membership queries arrive with non-decreasing
+``prev`` and take ``CSRGraph.has_edge``'s O(1) marker path. The
+memory-aware sampler builds and queries its tables with the same two
+functions.
 """
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,10 +45,16 @@ from repro.samplers.base import (
     REAL_ENTRY_CAP,
 )
 
-#: (state, candidate) entries whose dynamic weights one chunk of
-#: :func:`build_tables` evaluates: each of the chunk's walker, candidate
-#: and weight temporaries stays within 2 MB.
+#: (state, candidate) entries whose dynamic weights the threads of
+#: :func:`build_tables` evaluate at once, split evenly between them: each
+#: kind of walker, candidate and weight temporary stays within 2 MB in
+#: total, whatever the thread count.
 _CHUNK_ENTRIES = 1 << 18
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the thread count of :func:`build_tables`."""
+    return len(os.sched_getaffinity(0))
 
 
 def build_tables(
@@ -57,9 +71,11 @@ def build_tables(
     ``cum[offs[i]:offs[i + 1] + 1]``, a running sum over all tables
     that starts at 0. Raises :class:`MemoryBudgetExceeded` before any
     allocation when the tables need more than ``REAL_ENTRY_CAP``
-    entries. Chunks of at most ``_CHUNK_ENTRIES`` entries (a chunk may
-    cut a state) write their weights into ``cum[1:]``; the final
-    in-place ``cumsum`` is sequential, so ``cum`` is bit-identical to
+    entries. One thread per CPU fills chunks of
+    ``_CHUNK_ENTRIES // threads`` entries (a chunk may cut a state),
+    each writing its weights into its own slice of ``cum[1:]``; the
+    first exception of a chunk propagates. The final in-place ``cumsum``
+    is sequential, so ``cum`` is bit-identical to
     ``concatenate([[0], cumsum(w)])`` over the whole weight vector.
     """
     offs = np.zeros(len(states) + 1, dtype=np.int64)
@@ -71,8 +87,11 @@ def build_tables(
         )
     cum = np.empty(total + 1, dtype=np.float64)
     cum[0] = 0.0
-    for a in range(0, total, _CHUNK_ENTRIES):
-        b = min(a + _CHUNK_ENTRIES, total)
+    threads = _cpu_count()
+    chunk = max(1, _CHUNK_ENTRIES // threads)
+
+    def fill(a: int) -> None:
+        b = min(a + chunk, total)
         # States s0..s1-1 own the entries a..b-1.
         s0 = int(np.searchsorted(offs, a, side="right")) - 1
         s1 = int(np.searchsorted(offs, b, side="left"))
@@ -82,6 +101,16 @@ def build_tables(
         wk = states.take(sid)
         cand_eidx = g.indptr[wk.cur] + (np.arange(a, b, dtype=np.int64) - offs[sid])
         cum[a + 1 : b + 1] = model.dyn_weight(g, wk, cand_eidx)
+
+    # numpy releases the GIL inside each chunk's array work. A lazy
+    # graph or model cache (``CSRGraph.edge_type``, ``Edge2Vec.M``, ...)
+    # first needed here may be filled by several threads at once; each
+    # computes the same value from immutable inputs, so any one may win.
+    # Reading every result re-raises a chunk's exception; map's iterator
+    # then cancels the chunks not yet started.
+    with ThreadPoolExecutor(threads, thread_name_prefix="alias-build") as pool:
+        for _ in pool.map(fill, range(0, total, chunk)):
+            pass
     np.cumsum(cum, out=cum)
     return cum, offs
 

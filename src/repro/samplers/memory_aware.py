@@ -8,7 +8,8 @@ behaviour: it always fits in memory (handles the largest graphs) but is
 slow when the budget covers few hot states (paper §V-D). The chosen
 states' tables are built and queried by the alias sampler's
 :func:`~repro.samplers.alias.build_tables` (streamed in chunks, in
-ranking order) and :func:`~repro.samplers.alias.sample_tables`.
+ranking order, on a thread pool of one thread per CPU; bit-identical
+for any thread count) and :func:`~repro.samplers.alias.sample_tables`.
 """
 from __future__ import annotations
 

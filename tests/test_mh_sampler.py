@@ -3,6 +3,7 @@ sampler-manager 2D layout."""
 import numpy as np
 import pytest
 
+from repro.core.abstraction import WalkerBatch
 from repro.core.mh_sampler import MHSampler
 from repro.core.sampler_manager import SamplerManager
 from repro.core.theory import exact_transition, tv_distance
@@ -177,6 +178,44 @@ def test_mh_deterministic_given_seed(g):
         wk = state_batch(g, v, prev, k=50)
         outs.append(np.concatenate([s.sample(wk) for _ in range(5)]))
     assert (outs[0] == outs[1]).all()
+
+
+def _two_call_sample(s, wk):
+    """Algorithm 1's step with separate ``dyn_weight`` calls for
+    ``w_last`` and ``w_cand``: the reference for the fused ``sample``."""
+    g = s.g
+    state = s.model.state_index(g, wk)
+    need = s.manager.uninitialized(state)
+    if need.any():
+        s._initialize(wk.take(need), state[need])
+    start = g.indptr[wk.cur]
+    last = s.manager.get(state).astype(np.int64)
+    w_last = s.model.dyn_weight(g, wk, start + last)
+    new_slot, _ = s._mh_iterate(wk, last, w_last)
+    s.manager.set(state, new_slot)
+    return start + new_slot
+
+
+@pytest.mark.parametrize("init", ["random", "weight"])
+@pytest.mark.parametrize("mname,kw,st", MODELS)
+def test_mh_sample_matches_two_call_step(g, mname, kw, st, init):
+    """One ``dyn_weight`` call per step draws exactly what two calls
+    draw: same slots, LAST_x store and counters on a fixed seed."""
+    model = make_model(mname, **kw)
+    rng = np.random.default_rng(4)
+    e = rng.integers(0, g.m, 400)  # repeated states included
+    req = st.get("req_type")
+    wk = WalkerBatch(
+        cur=g.indices[e].astype(np.int64), prev=g.src[e], prev_eidx=e,
+        req_type=None if req is None else rng.integers(0, g.n_types, e.size).astype(np.int16),
+    )
+    fused, ref = (MHSampler(g, model, np.random.default_rng(7), init=init) for _ in "ab")
+    for s in (fused, ref):
+        s.prepare()
+    for _ in range(5):
+        np.testing.assert_array_equal(fused.sample(wk), _two_call_sample(ref, wk))
+    np.testing.assert_array_equal(fused.manager.last_slot, ref.manager.last_slot)
+    assert fused.stats == ref.stats
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Baseline edge samplers: exact distributions, budgets, comparator
 behaviours (alias / direct / rejection / knightking / memory-aware /
 static)."""
+import dataclasses
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -154,19 +159,21 @@ def _assert_bit_identical(cum, offs, ref_cum, ref_offs, chunk):
     assert (~np.isin(cuts, offs)).sum() > 10
 
 
-@pytest.mark.parametrize("mname,kw,st", MODELS)
-def test_alias_tables_match_all_at_once_build(g, monkeypatch, mname, kw, st):
-    monkeypatch.setattr(alias, "_CHUNK_ENTRIES", 37)
-    model = make_model(mname, **kw)
+def _chunk_37(monkeypatch, threads=None):
+    """Build tables with ``threads`` pool threads (default: this
+    machine's CPUs) in chunks of 37 entries, which cut states."""
+    if threads is not None:
+        monkeypatch.setattr(alias, "_cpu_count", lambda: threads)
+    monkeypatch.setattr(alias, "_CHUNK_ENTRIES", 37 * alias._cpu_count())
+
+
+def _check_alias(g, model, ref=None):
     s = make_sampler("alias", g, model, np.random.default_rng(0))
     s.prepare()
-    _assert_bit_identical(s._cum, s._offs, *_reference_tables(g, model), 37)
+    _assert_bit_identical(s._cum, s._offs, *(ref or _reference_tables(g, model)), 37)
 
 
-@pytest.mark.parametrize("mname", ["node2vec", "edge2vec", "fairwalk"])
-def test_memory_aware_tables_match_all_at_once_build(g, monkeypatch, mname):
-    monkeypatch.setattr(alias, "_CHUNK_ENTRIES", 37)
-    model = make_model(mname, p=0.25, q=4.0)
+def _check_memory_aware(g, model, ref_g=None):
     s = make_sampler(
         "memory_aware", g, model, np.random.default_rng(0),
         table_budget_bytes=12.0 * g.m * 4,
@@ -178,7 +185,101 @@ def test_memory_aware_tables_match_all_at_once_build(g, monkeypatch, mname):
     assigned = np.empty(s.assigned_states, dtype=np.int64)
     assigned[s._table_id[tabled]] = tabled
     assert (np.diff(g.src[assigned]) < 0).any()
-    _assert_bit_identical(s._cum, s._offs, *_reference_tables(g, model, assigned), 37)
+    ref = _reference_tables(ref_g or g, model, assigned)
+    _assert_bit_identical(s._cum, s._offs, *ref, 37)
+
+
+def _fresh(g):
+    """A copy of ``g`` whose lazy caches are not computed yet."""
+    return dataclasses.replace(g)
+
+
+#: The lazy ``CSRGraph`` cache each model's ``dyn_weight`` fills.
+LAZY = {"edge2vec": "_edge_type", "fairwalk": "_attr_count"}
+
+
+@pytest.mark.parametrize("mname,kw,st", MODELS)
+def test_alias_tables_match_all_at_once_build(g, monkeypatch, mname, kw, st):
+    _chunk_37(monkeypatch)
+    _check_alias(g, make_model(mname, **kw))
+
+
+@pytest.mark.parametrize("mname", ["node2vec", "edge2vec", "fairwalk"])
+def test_memory_aware_tables_match_all_at_once_build(g, monkeypatch, mname):
+    _chunk_37(monkeypatch)
+    _check_memory_aware(g, make_model(mname, p=0.25, q=4.0))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("mname,kw,st", MODELS)
+def test_alias_tables_identical_for_any_thread_count(
+    g, monkeypatch, threads, mname, kw, st
+):
+    """The pooled build equals the reference for one and for several
+    threads, including lazy graph caches first filled inside the pool.
+    The reference fills its own caches on this thread."""
+    _chunk_37(monkeypatch, threads)
+    ref = _reference_tables(_fresh(g), make_model(mname, **kw))
+    fresh = _fresh(g)
+    _check_alias(fresh, make_model(mname, **kw), ref)
+    if mname in LAZY:
+        assert LAZY[mname] in fresh.__dict__
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("mname", ["node2vec", "edge2vec", "fairwalk"])
+def test_memory_aware_tables_identical_for_any_thread_count(
+    g, monkeypatch, threads, mname
+):
+    _chunk_37(monkeypatch, threads)
+    model = make_model(mname, p=0.25, q=4.0)
+    fresh = _fresh(g)
+    _check_memory_aware(fresh, model, ref_g=_fresh(g))
+    if mname in LAZY:
+        assert LAZY[mname] in fresh.__dict__
+
+
+def test_table_build_stress_more_threads_than_cpus(g, monkeypatch):
+    """More pool threads than CPUs and a short switch interval: every
+    chunk's slice and every lazy cache filled in the pool still lands."""
+    _chunk_37(monkeypatch, len(os.sched_getaffinity(0)) + 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for mname in ("edge2vec", "fairwalk"):
+            fresh = _fresh(g)
+            done = []
+            t = threading.Thread(
+                target=lambda: done.append(_check_alias(fresh, make_model(mname)))
+            )
+            t.start()
+            t.join(timeout=120)
+            assert not t.is_alive() and done == [None]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("sname", ["alias", "memory_aware"])
+def test_table_build_chunk_failure_propagates(g, monkeypatch, sname):
+    """A chunk whose ``dyn_weight`` raises fails ``prepare()``, and the
+    sampler stays unprepared."""
+    _chunk_37(monkeypatch, 3)
+    model = make_model("node2vec")
+    bad_state = int(np.argmax(g.degree(g.indices)))
+    orig = type(model).dyn_weight
+
+    def dyn_weight(self, g_, wk, cand_eidx):
+        if (wk.prev_eidx == bad_state).any():
+            raise RuntimeError("chunk failed")
+        return orig(self, g_, wk, cand_eidx)
+
+    monkeypatch.setattr(type(model), "dyn_weight", dyn_weight)
+    # A budget that tables every state, the failing one included.
+    s = make_sampler(sname, g, model, np.random.default_rng(0),
+                     **({"table_budget_bytes": 1e12} if sname == "memory_aware" else {}))
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        s.prepare()
+    assert not s._prepared
 
 
 def test_table_build_checks_real_cap_before_allocating(g, monkeypatch):

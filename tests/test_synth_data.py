@@ -1,4 +1,4 @@
-"""Synthetic data generators (provided TPC-H-lite + graph extensions)."""
+"""Synthetic graph generators."""
 import numpy as np
 import pytest
 
@@ -72,14 +72,3 @@ def test_graph_edges_dataframe(spark):
     assert set(df.columns) == {"src", "dst", "weight"}
     assert df.count() == 300
 
-
-def test_tpch_lite_lineitem(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    assert li.count() == 6000
-    assert "l_orderkey" in li.columns
-
-
-def test_zipf_keys_skew(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > 10 * counts.iloc[-1]
