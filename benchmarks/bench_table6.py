@@ -2,13 +2,15 @@
 
 Representative cells (blogcatalog_lite): walk-generation cost of the
 three implementations for deepwalk and node2vec, plus the shared
-learning phase. ``jobs/table6_end_to_end.py`` prints the full table
-across all models and datasets.
+learning phase; and, per table sampler, the broadcast share of
+UniNet (Orig)'s ``T_w`` on flickr_lite. ``jobs/table6_end_to_end.py``
+prints the full table across all models and datasets.
 """
 import numpy as np
 import pytest
 
 from repro.baselines.reference import reference_walks
+from repro.core.abstraction import WalkerBatch
 from repro.datasets import DATASETS, load
 from repro.embedding.word2vec import train_embeddings
 from repro.bench_utils import paper_budget
@@ -60,3 +62,39 @@ def test_table6_learning_phase(benchmark, spark):
         rounds=2, iterations=1, warmup_rounds=0,
     )
     walks.unpersist()
+
+
+@pytest.mark.parametrize("sname", ["alias", "memory_aware"])
+def test_prepared_sampler_broadcast(benchmark, spark, sname):
+    """``sc.broadcast`` of a freshly prepared flickr_lite node2vec
+    sampler, then one task per core that reads it and draws once for
+    10 000 walkers (a worker's first table draw sums the tables), then
+    the broadcast is destroyed: the per-table view of the broadcast
+    share of ``T_w``."""
+    g = load("flickr_lite")
+    model = make_model("node2vec", p=0.25, q=4.0)
+    sc = spark.sparkContext
+    cores = sc.defaultParallelism
+
+    def prepared():
+        s = make_sampler(sname, g, model, np.random.default_rng(0))
+        s.prepare()
+        return (s,), {}
+
+    def run(s):
+        bc = sc.broadcast(s)
+
+        def read(i, _):
+            samp = bc.value.task_copy()
+            sg = samp.g
+            e = np.random.default_rng(i).integers(0, sg.m, 10_000)
+            wk = WalkerBatch(cur=sg.indices[e].astype(np.int64), prev=sg.src[e], prev_eidx=e)
+            yield int((samp.sample(wk) >= 0).sum())
+
+        try:
+            drawn = sc.parallelize(range(cores), cores).mapPartitionsWithIndex(read).collect()
+        finally:
+            bc.destroy()
+        assert drawn == [10_000] * cores
+
+    benchmark.pedantic(run, setup=prepared, rounds=3, iterations=1, warmup_rounds=1)

@@ -227,6 +227,17 @@ class CSRGraph:
         object.__setattr__(self, "_weight_sums", ws)
         return ws
 
+    def weight_prefix(self) -> np.ndarray:
+        """``float64[m+1]`` — ``[0, cumsum(weights)]``, the global
+        static-weight running sum that :class:`StaticSampler` draws from
+        (the first step of second-order walks, rejection proposals)."""
+        cached = self.__dict__.get("_weight_prefix")
+        if cached is not None:
+            return cached
+        wp = np.concatenate([[0.0], np.cumsum(self.weights, dtype=np.float64)])
+        object.__setattr__(self, "_weight_prefix", wp)
+        return wp
+
     def edge_type(self) -> np.ndarray:
         """``int16[m]`` — edge type per slot, derived from unordered
         endpoint node types (edge2vec's ``Φ(u, v)``)."""

@@ -9,28 +9,35 @@ the full dynamic-weight distribution over the current node's neighbors
 simulated budget), and sampling is a constant-depth lookup.
 
 Implementation note (DESIGN.md §3): the per-state structure is a
-precomputed cumulative table queried by one vectorized binary search
-(O(log d)) rather than a literal Vose alias pair — memory is
-byte-equivalent and query cost is indistinguishable at benchmark scale;
-the defining characteristics (huge ``T_i``, O(d·#state) memory,
-parameter-insensitive sampling) are preserved. :func:`build_tables`
-streams the construction on every CPU the process may run on, as
-UniNet's threads do (paper §IV-A): a thread pool evaluates the dynamic
-weights of chunks of (state, candidate) entries straight into disjoint
-slices of the preallocated table, at most ``_CHUNK_ENTRIES`` entries in
-flight across all threads, and one sequential in-place ``cumsum``
-accumulates it afterwards. No full-length temporary exists besides the
-table itself, and since each entry's weight does not depend on its
-chunk and the sum runs in one fixed order, the table is bit-identical
-for any thread count and schedule. States are enumerated by edge
-source, so node2vec's membership queries arrive with non-decreasing
-``prev`` and take ``CSRGraph.has_edge``'s O(1) marker path. The
-memory-aware sampler builds and queries its tables with the same two
-functions.
+cumulative table queried by one vectorized binary search (O(log d))
+rather than a literal Vose alias pair — memory is byte-equivalent and
+query cost is indistinguishable at benchmark scale; the defining
+characteristics (huge ``T_i``, O(d·#state) memory,
+parameter-insensitive sampling) are preserved. This module owns the
+table format, :class:`Tables`. :func:`build_tables` streams the
+construction on every CPU the process may run on, as UniNet's threads
+do (paper §IV-A): a thread pool evaluates the dynamic weights of chunks
+of (state, candidate) entries straight into disjoint slices of the
+preallocated table, at most ``_CHUNK_ENTRIES`` entries in flight across
+all threads. The tables leave the build, and travel in the engine's
+broadcast, as those per-entry weights: a float64 running sum's
+mantissas do not compress, while the weights of a model like node2vec
+take a handful of distinct values and compress well. The first draw in
+each process (:func:`sample_tables`) turns them, in place and once,
+into the running sum with one sequential ``cumsum``; so alias ``T_i``
+excludes the prefix sum, which Table VI counts in ``T_w``, once per
+worker. No full-length temporary exists besides the table itself, and
+since each entry's weight does not depend on its chunk and the sum runs
+in one fixed order, the summed table is bit-identical for any thread
+count and schedule. States are enumerated by edge source, so node2vec's
+membership queries arrive with non-decreasing ``prev`` and take
+``CSRGraph.has_edge``'s O(1) marker path. The memory-aware sampler
+builds and queries its tables with the same two functions.
 """
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -57,25 +64,60 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+class Tables:
+    """Per-state tables of :func:`build_tables`, one float64 buffer.
+
+    The table of state ``i`` covers entries ``offs[i]..offs[i + 1] - 1``.
+    ``buf[0]`` is 0; until the first draw, ``buf[1 + j]`` is entry
+    ``j``'s weight. :meth:`cum` turns ``buf`` in place into the running
+    sum over all tables, once per process: shallow sampler copies share
+    this object, and pickling carries ``summed``, so a table summed
+    before it ships is not summed again.
+    """
+
+    def __init__(self, buf: np.ndarray, offs: np.ndarray):
+        self.buf = buf
+        self.offs = offs
+        self.summed = False
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_lock"]  # locks do not pickle
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def cum(self) -> np.ndarray:
+        """The running sum over all tables, starting at 0; the first call
+        computes it in place with one sequential ``cumsum``."""
+        if not self.summed:
+            with self._lock:
+                if not self.summed:
+                    np.cumsum(self.buf, out=self.buf)
+                    self.summed = True
+        return self.buf
+
+
 def build_tables(
     g: CSRGraph,
     model: RandomWalkModel,
     states: WalkerBatch,
     lens: np.ndarray,
     what: str,
-):
-    """Cumulative dynamic-weight tables of the walkers ``states``, one
-    per state over the ``lens[i]`` neighbours of ``states.cur[i]``.
+) -> Tables:
+    """Dynamic-weight tables of the walkers ``states``, one per state
+    over the ``lens[i]`` neighbours of ``states.cur[i]``, as per-entry
+    weights (see :class:`Tables`).
 
-    Returns ``(cum, offs)``: the table of state ``i`` spans
-    ``cum[offs[i]:offs[i + 1] + 1]``, a running sum over all tables
-    that starts at 0. Raises :class:`MemoryBudgetExceeded` before any
-    allocation when the tables need more than ``REAL_ENTRY_CAP``
-    entries. One thread per CPU fills chunks of
-    ``_CHUNK_ENTRIES // threads`` entries (a chunk may cut a state),
-    each writing its weights into its own slice of ``cum[1:]``; the
-    first exception of a chunk propagates. The final in-place ``cumsum``
-    is sequential, so ``cum`` is bit-identical to
+    Raises :class:`MemoryBudgetExceeded` before any allocation when the
+    tables need more than ``REAL_ENTRY_CAP`` entries. One thread per CPU
+    fills chunks of ``_CHUNK_ENTRIES // threads`` entries (a chunk may
+    cut a state), each writing its weights into its own slice of
+    ``buf[1:]``; the first exception of a chunk propagates. Once summed
+    by :meth:`Tables.cum`, ``buf`` is bit-identical to
     ``concatenate([[0], cumsum(w)])`` over the whole weight vector.
     """
     offs = np.zeros(len(states) + 1, dtype=np.int64)
@@ -85,8 +127,8 @@ def build_tables(
         raise MemoryBudgetExceeded(
             f"{what} tables need {total:.2e} real entries > cap {REAL_ENTRY_CAP:.0e}"
         )
-    cum = np.empty(total + 1, dtype=np.float64)
-    cum[0] = 0.0
+    buf = np.empty(total + 1, dtype=np.float64)
+    buf[0] = 0.0
     threads = _cpu_count()
     chunk = max(1, _CHUNK_ENTRIES // threads)
 
@@ -100,7 +142,7 @@ def build_tables(
         sid = np.repeat(np.arange(s0, s1, dtype=np.int64), last - first)
         wk = states.take(sid)
         cand_eidx = g.indptr[wk.cur] + (np.arange(a, b, dtype=np.int64) - offs[sid])
-        cum[a + 1 : b + 1] = model.dyn_weight(g, wk, cand_eidx)
+        buf[a + 1 : b + 1] = model.dyn_weight(g, wk, cand_eidx)
 
     # numpy releases the GIL inside each chunk's array work. A lazy
     # graph or model cache (``CSRGraph.edge_type``, ``Edge2Vec.M``, ...)
@@ -111,22 +153,22 @@ def build_tables(
     with ThreadPoolExecutor(threads, thread_name_prefix="alias-build") as pool:
         for _ in pool.map(fill, range(0, total, chunk)):
             pass
-    np.cumsum(cum, out=cum)
-    return cum, offs
+    return Tables(buf, offs)
 
 
 def sample_tables(
-    cum: np.ndarray,
-    offs: np.ndarray,
+    tables: Tables,
     table: np.ndarray,
     first_slot: np.ndarray,
     u: np.ndarray,
 ) -> np.ndarray:
     """Inverse-CDF draw from tables ``table`` of :func:`build_tables`
     with uniforms ``u``: one windowed ``searchsorted`` over the global
-    running sum. Returns the drawn candidate's global CSR slot
-    (``first_slot`` is each walker's ``indptr[cur]``), ``-1`` where the
-    table's total weight is ~0 (no valid candidate)."""
+    running sum (the first draw in a process computes it). Returns the
+    drawn candidate's global CSR slot (``first_slot`` is each walker's
+    ``indptr[cur]``), ``-1`` where the table's total weight is ~0 (no
+    valid candidate)."""
+    cum, offs = tables.cum(), tables.offs
     lo = offs[table]
     hi = offs[table + 1]
     base = cum[lo]
@@ -175,7 +217,7 @@ class TableSampler(EdgeSampler):
         # Simulated-budget charge first (this is what reproduces the
         # paper's OOM cells), then the real-allocation guardrail.
         self.budget.charge("alias_tables", BYTES_TABLE_ENTRY * int(lens.sum()))
-        self._cum, self._offs = build_tables(g, model, states, lens, "alias")
+        self._tables = build_tables(g, model, states, lens, "alias")
         self._prepared = True
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
@@ -183,7 +225,7 @@ class TableSampler(EdgeSampler):
             self.prepare()
         g = self.g
         eidx = sample_tables(
-            self._cum, self._offs, self.model.state_index(g, wk),
+            self._tables, self.model.state_index(g, wk),
             g.indptr[wk.cur], self.rng.random(len(wk)),
         )
         self.stats["proposals"] += len(wk)

@@ -102,7 +102,9 @@ class EdgeSampler:
 class StaticSampler(EdgeSampler):
     """Exact sampling proportional to **static** edge weights.
 
-    O(log d) per draw via one global weight-prefix array. Serves as:
+    O(log d) per draw via the graph's cached global weight-prefix array
+    (:meth:`CSRGraph.weight_prefix`), so ``prepare()`` is a lookup after
+    its first call on a graph. Serves as:
     the first step of second-order models (the original node2vec draws
     its first edge from the static distribution), the proposal draw of
     the rejection-family samplers, and the alias-equivalent first-order
@@ -112,9 +114,7 @@ class StaticSampler(EdgeSampler):
     name = "static"
 
     def prepare(self) -> None:
-        self.wcum = np.concatenate(
-            [[0.0], np.cumsum(self.g.weights, dtype=np.float64)]
-        )
+        self.wcum = self.g.weight_prefix()
         self._prepared = True
 
     def sample_nodes(self, cur: np.ndarray) -> np.ndarray:

@@ -69,8 +69,8 @@ class KnightKingSampler(EdgeSampler):
         )
         self._static.prepare()
         if self._mode == "reject":
-            self._rej._static = self._static
-            self._rej._prepared = True
+            # Its private MemoryBudget(None) absorbs the proposal charge.
+            self._rej.prepare()
         self._prepared = True
 
     # ------------------------------------------------------------------
@@ -141,8 +141,8 @@ class KnightKingSampler(EdgeSampler):
             return self._sample_first_order(wk)
         if self._mode == "fold":
             return self._sample_node2vec_folded(wk)
+        before = dict(self._rej.stats)
         out = self._rej.sample(wk)
-        self.stats["proposals"] += self._rej.stats["proposals"]
-        self.stats["accepts"] += self._rej.stats["accepts"]
-        self._rej.stats = {"proposals": 0, "accepts": 0}
+        for k in ("proposals", "accepts"):
+            self.stats[k] += self._rej.stats[k] - before[k]
         return out

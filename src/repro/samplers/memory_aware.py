@@ -10,6 +10,8 @@ states' tables are built and queried by the alias sampler's
 :func:`~repro.samplers.alias.build_tables` (streamed in chunks, in
 ranking order, on a thread pool of one thread per CPU; bit-identical
 for any thread count) and :func:`~repro.samplers.alias.sample_tables`.
+They travel as per-entry weights, and each process sums them once, on
+its first draw (:class:`~repro.samplers.alias.Tables`).
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ class MemoryAwareSampler(EdgeSampler):
         states = WalkerBatch(
             cur=dst[assigned], prev=g.src[assigned], prev_eidx=assigned
         )
-        self._cum, self._offs = build_tables(
+        self._tables = build_tables(
             g, model, states, lens_all[assigned], "memory-aware"
         )
         self.assigned_states = k
@@ -86,7 +88,7 @@ class MemoryAwareSampler(EdgeSampler):
         out = np.full(len(wk), -1, dtype=np.int64)
         if hit.any():
             out[hit] = sample_tables(
-                self._cum, self._offs, tid[hit], self.g.indptr[wk.cur[hit]],
+                self._tables, tid[hit], self.g.indptr[wk.cur[hit]],
                 self.rng.random(int(hit.sum())),
             )
         miss = ~hit

@@ -10,7 +10,9 @@ empty store (DESIGN.md §7).
 
 Samplers with expensive ``prepare()`` (alias tables) are prepared once
 on the driver and shipped via the broadcast, mirroring UniNet's threads
-sharing one table set.
+sharing one table set. The tables travel as per-entry weights, which
+compress in the broadcast; each Python worker sums them once, in place,
+on its first draw (``samplers/alias.py``).
 """
 from __future__ import annotations
 

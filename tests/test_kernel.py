@@ -1,10 +1,12 @@
 """Walk kernel (Algorithm 2): validity, termination, determinism."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.graph.csr import from_edges
 from repro.models import make_model
-from repro.samplers import SAMPLER_NAMES, make_sampler
+from repro.samplers import SAMPLER_NAMES, KnightKingSampler, StaticSampler, make_sampler
 from repro.walks.kernel import simulate_walks, walk_lengths, walks_to_lists
 
 from tests.util import brute_edge_index, small_graph
@@ -143,3 +145,86 @@ def test_walks_match_bruteforce_edge_index(g, monkeypatch, mname, sname):
         CSRGraph, "has_edge", lambda self, u, v: brute_edge_index(self, u, v) >= 0
     )
     np.testing.assert_array_equal(fast, walks())
+
+
+def _parent_static_prepare(self):
+    """``StaticSampler.prepare`` rebuilding the prefix on every call."""
+    self.wcum = np.concatenate([[0.0], np.cumsum(self.g.weights, dtype=np.float64)])
+    self._prepared = True
+
+
+def _parent_knightking_prepare(self):
+    """KnightKing's reject mode wired into ``RejectionSampler``'s
+    private fields."""
+    self.budget.charge("knightking_alias", 12 * self.g.m)
+    self._static.prepare()
+    if self._mode == "reject":
+        self._rej._static = self._static
+        self._rej._prepared = True
+    self._prepared = True
+
+
+def _parent_knightking_sample(self, wk, _sample=KnightKingSampler.sample):
+    """KnightKing's reject mode moving, then resetting, the nested stats."""
+    if self._mode != "reject":
+        return _sample(self, wk)
+    out = self._rej.sample(wk)
+    self.stats["proposals"] += self._rej.stats["proposals"]
+    self.stats["accepts"] += self._rej.stats["accepts"]
+    self._rej.stats = {"proposals": 0, "accepts": 0}
+    return out
+
+
+@pytest.mark.parametrize("sname", SAMPLER_NAMES)
+@pytest.mark.parametrize("mname", ["node2vec", "edge2vec", "fairwalk"])
+def test_walks_match_per_batch_static_prefix(g, monkeypatch, mname, sname):
+    """The graph's cached static prefix and KnightKing's public-API
+    reject mode change no walk and no stat: every sampler's first
+    second-order step, and the rejection and KnightKing walks, equal the
+    per-batch prefix and private wiring they replace, over 3 batches."""
+    model = make_model(mname, p=0.25, q=4.0)
+    starts = model.start_nodes(g)[:40]
+
+    def run():
+        fresh = dataclasses.replace(g)
+        s = make_sampler(sname, fresh, model, np.random.default_rng(11))
+        s.prepare()
+        walks = [simulate_walks(fresh, model, starts, 15, s, s.rng) for _ in range(3)]
+        return np.stack(walks), dict(s.stats)
+
+    walks, stats = run()
+    monkeypatch.setattr(StaticSampler, "prepare", _parent_static_prepare)
+    monkeypatch.setattr(KnightKingSampler, "prepare", _parent_knightking_prepare)
+    monkeypatch.setattr(KnightKingSampler, "sample", _parent_knightking_sample)
+    ref_walks, ref_stats = run()
+    np.testing.assert_array_equal(walks, ref_walks)
+    assert stats == ref_stats
+
+
+def test_static_prefix_computed_once_per_graph(g, monkeypatch):
+    """Every ``StaticSampler.prepare`` on one graph object, in the
+    kernel and in the rejection-family samplers, reads one cached
+    prefix; a new graph object computes its own."""
+    cumsum, calls = np.cumsum, []
+
+    def spy(a, *args, **kw):
+        calls.append(a)
+        return cumsum(a, *args, **kw)
+
+    monkeypatch.setattr(np, "cumsum", spy)
+    model = make_model("edge2vec")
+    starts = model.start_nodes(g)[:40]
+    graphs = [dataclasses.replace(g, weights=g.weights.copy()) for _ in range(2)]
+    for fresh in graphs:
+        for sname in ("rejection", "knightking"):
+            s = make_sampler(sname, fresh, model, np.random.default_rng(0))
+            s.prepare()
+            for _ in range(3):
+                simulate_walks(fresh, model, starts, 5, s, s.rng)
+            assert s._static.wcum is fresh.weight_prefix()
+    for fresh in graphs:
+        assert sum(a is fresh.weights for a in calls) == 1
+        np.testing.assert_array_equal(
+            fresh.weight_prefix(),
+            np.concatenate([[0.0], cumsum(fresh.weights, dtype=np.float64)]),
+        )

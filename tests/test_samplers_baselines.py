@@ -1,8 +1,10 @@
 """Baseline edge samplers: exact distributions, budgets, comparator
 behaviours (alias / direct / rejection / knightking / memory-aware /
 static)."""
+import copy
 import dataclasses
 import os
+import pickle
 import sys
 import threading
 
@@ -122,9 +124,11 @@ def test_segmented_choice_zero_total_returns_minus_one():
 # ----------------------------------------------------------------------
 def _reference_tables(g, model, states=None):
     """All-at-once build (every entry's walker, candidate and weight at
-    once, then one ``cumsum``): the tables the streamed build must
-    reproduce bit for bit. ``states`` selects order-2 edge states
-    (memory-aware), in table order; default: every state of the model."""
+    once, then one ``cumsum``): ``(buf, cum, offs)``, the per-entry
+    weights a fresh build must hold and the running sum its first draw
+    must make of them, bit for bit. ``states`` selects order-2 edge
+    states (memory-aware), in table order; default: every state of the
+    model."""
     if model.order == 2:
         prev_eidx = np.arange(g.m, dtype=np.int64) if states is None else states
         cur = g.indices[prev_eidx].astype(np.int64)
@@ -144,19 +148,29 @@ def _reference_tables(g, model, states=None):
         cur[sid], prev[sid], prev_eidx[sid], None if req is None else req[sid]
     )
     w = model.dyn_weight(g, wk, g.indptr[cur][sid] + ragged_arange(lens))
+    buf = np.concatenate([[0.0], w])
     cum = np.concatenate([[0.0], np.cumsum(w, dtype=np.float64)])
     offs = np.zeros(lens.shape[0] + 1, dtype=np.int64)
     np.cumsum(lens, out=offs[1:])
-    return cum, offs
+    return buf, cum, offs
 
 
-def _assert_bit_identical(cum, offs, ref_cum, ref_offs, chunk):
-    np.testing.assert_array_equal(offs, ref_offs)
-    assert cum.dtype == np.float64 and cum.shape == ref_cum.shape
-    np.testing.assert_array_equal(cum.view(np.int64), ref_cum.view(np.int64))
+def _assert_bits(a, ref):
+    assert a.dtype == np.float64 and a.shape == ref.shape
+    np.testing.assert_array_equal(a.view(np.int64), ref.view(np.int64))
+
+
+def _assert_bit_identical(tables, ref_buf, ref_cum, ref_offs, chunk):
+    """Fresh ``tables`` hold the reference weights; their first sum is
+    the reference running sum."""
+    np.testing.assert_array_equal(tables.offs, ref_offs)
+    assert not tables.summed
+    _assert_bits(tables.buf, ref_buf)
+    _assert_bits(tables.cum(), ref_cum)
+    assert tables.summed
     # The patched chunk cut states, and with them source rows, in two.
-    cuts = np.arange(chunk, int(offs[-1]), chunk)
-    assert (~np.isin(cuts, offs)).sum() > 10
+    cuts = np.arange(chunk, int(ref_offs[-1]), chunk)
+    assert (~np.isin(cuts, ref_offs)).sum() > 10
 
 
 def _chunk_37(monkeypatch, threads=None):
@@ -170,7 +184,15 @@ def _chunk_37(monkeypatch, threads=None):
 def _check_alias(g, model, ref=None):
     s = make_sampler("alias", g, model, np.random.default_rng(0))
     s.prepare()
-    _assert_bit_identical(s._cum, s._offs, *(ref or _reference_tables(g, model)), 37)
+    _assert_bit_identical(s._tables, *(ref or _reference_tables(g, model)), 37)
+
+
+def _assigned(s):
+    """A memory-aware sampler's tabled states, in table order."""
+    tabled = np.flatnonzero(s._table_id >= 0)
+    assigned = np.empty(s.assigned_states, dtype=np.int64)
+    assigned[s._table_id[tabled]] = tabled
+    return assigned
 
 
 def _check_memory_aware(g, model, ref_g=None):
@@ -181,12 +203,10 @@ def _check_memory_aware(g, model, ref_g=None):
     s.prepare()
     assert 0 < s.assigned_states < g.m
     # Tabled states in table order (ranked, not sorted by source).
-    tabled = np.flatnonzero(s._table_id >= 0)
-    assigned = np.empty(s.assigned_states, dtype=np.int64)
-    assigned[s._table_id[tabled]] = tabled
+    assigned = _assigned(s)
     assert (np.diff(g.src[assigned]) < 0).any()
     ref = _reference_tables(ref_g or g, model, assigned)
-    _assert_bit_identical(s._cum, s._offs, *ref, 37)
+    _assert_bit_identical(s._tables, *ref, 37)
 
 
 def _fresh(g):
@@ -280,6 +300,91 @@ def test_table_build_chunk_failure_propagates(g, monkeypatch, sname):
     with pytest.raises(RuntimeError, match="chunk failed"):
         s.prepare()
     assert not s._prepared
+
+
+def _table_sampler(sname, g, model):
+    """A prepared alias or memory-aware sampler; memory-aware tables
+    every state."""
+    kw = {"table_budget_bytes": 1e12} if sname == "memory_aware" else {}
+    s = make_sampler(sname, g, model, np.random.default_rng(0), **kw)
+    s.prepare()
+    return s
+
+
+def _edge_states(g, k, seed):
+    """``k`` walkers mid-walk on random (prev -> cur) edges."""
+    e = np.random.default_rng(seed).integers(0, g.m, k)
+    return WalkerBatch(
+        cur=g.indices[e].astype(np.int64), prev=g.src[e], prev_eidx=e
+    )
+
+
+def _draw(s, wk, seed):
+    s.reseed(np.random.default_rng(seed))
+    return s.sample(wk)
+
+
+@pytest.mark.parametrize("sname", ["alias", "memory_aware"])
+def test_tables_summed_once_across_copies(g, sname):
+    """Task copies and ``copy.copy`` share one table object: the first
+    draw sums it in place, and the later draws do not sum it again."""
+    model = make_model("node2vec", p=0.25, q=4.0)
+    s = _table_sampler(sname, g, model)
+    states = _assigned(s) if sname == "memory_aware" else None
+    _, ref_cum, _ = _reference_tables(g, model, states)
+    wk = _edge_states(g, 500, 1)
+    for i, c in enumerate([s.task_copy(), s.task_copy(), copy.copy(s)]):
+        assert (_draw(c, wk, i) >= 0).all()
+    assert s._tables.summed
+    _assert_bits(s._tables.buf, ref_cum)
+
+
+@pytest.mark.parametrize("sname", ["alias", "memory_aware"])
+def test_pickled_tables_draw_like_the_original(g, sname):
+    """A sampler pickled before its first draw ships weights and sums
+    them on its own first draw; one pickled after ships the sum and does
+    not sum it again. Both draw the original's slots."""
+    s = _table_sampler(sname, g, make_model("node2vec", p=0.25, q=4.0))
+    wk = _edge_states(g, 2000, 2)
+    before = pickle.loads(pickle.dumps(s))
+    assert not before._tables.summed
+    want = _draw(s, wk, 3)
+    after = pickle.loads(pickle.dumps(s))
+    assert after._tables.summed
+    for c in (before, after):
+        np.testing.assert_array_equal(_draw(c, wk, 3), want)
+        _assert_bits(c._tables.buf, s._tables.buf)
+
+
+def test_tables_first_draws_race_sum_once(g):
+    """More threads than CPUs take their first draw from one table at
+    once, under a short switch interval: exactly one sums it."""
+    model = make_model("node2vec", p=0.25, q=4.0)
+    s = _table_sampler("alias", g, model)
+    _, ref_cum, _ = _reference_tables(g, model)
+    wk = _edge_states(g, 200, 4)
+    n = len(os.sched_getaffinity(0)) + 3
+    start = threading.Barrier(n)
+    drawn = []
+
+    def draw(i):
+        c = s.task_copy()
+        c.rng = np.random.default_rng(i)
+        start.wait(timeout=60)
+        drawn.append(c.sample(wk))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads) and len(drawn) == n
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_bits(s._tables.buf, ref_cum)
 
 
 def test_table_build_checks_real_cap_before_allocating(g, monkeypatch):
