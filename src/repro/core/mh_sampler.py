@@ -29,8 +29,10 @@ from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.core.sampler_manager import SamplerManager
 from repro.graph.csr import CSRGraph
 from repro.samplers.base import EdgeSampler, MemoryBudget
+from repro.samplers.segment import neighbor_dyn_weights, segmented_argmax
 
 _INIT_STRATEGIES = ("random", "weight", "burn")
+_RETRY_ROUNDS = 6  # uniform redraws before _retry_invalid's exact scan
 
 
 class MHSampler(EdgeSampler):
@@ -80,10 +82,10 @@ class MHSampler(EdgeSampler):
         ratio = np.where(w_last > 0.0, w_cand / np.maximum(w_last, 1e-300), 0.0)
         return np.where(w_last > 0.0, u < ratio, w_cand > 0.0)
 
-    def _propose(self, wk: WalkerBatch) -> np.ndarray:
-        """Uniform candidate slots ``q(·|u) = 1/deg``, one per walker."""
-        deg = self.g.degree(wk.cur)
-        return np.minimum((self.rng.random(len(wk)) * deg).astype(np.int64), deg - 1)
+    def _uniform_slot(self, deg: np.ndarray) -> np.ndarray:
+        """One uniform neighbor slot per degree in ``deg``: the proposal
+        ``q(·|u) = 1/deg`` and the random draws of initialization."""
+        return np.minimum((self.rng.random(len(deg)) * deg).astype(np.int64), deg - 1)
 
     def _transition(
         self,
@@ -102,31 +104,24 @@ class MHSampler(EdgeSampler):
         self, wk: WalkerBatch, slot: np.ndarray, w_slot: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """One M-H transition for a batch; returns (new slot, its weight)."""
-        cand_slot = self._propose(wk)
+        cand_slot = self._uniform_slot(self.g.degree(wk.cur))
         w_cand = self.model.dyn_weight(self.g, wk, self.g.indptr[wk.cur] + cand_slot)
         return self._transition(slot, w_slot, cand_slot, w_cand)
 
     def _retry_invalid(
-        self,
-        wk: WalkerBatch,
-        deg: np.ndarray,
-        start: np.ndarray,
-        slot: np.ndarray,
-        w: np.ndarray,
-        rounds: int = 6,
+        self, wk: WalkerBatch, slot: np.ndarray, w: np.ndarray
     ) -> np.ndarray:
         """Resample initial slots whose dynamic weight ``w`` is zero
         (hard constraints, e.g. metapath type mismatch) — an initial
         sample in a zero-probability region would otherwise emit one
         invalid edge before the chain self-corrects."""
-        for _ in range(rounds):
+        deg, start = self.g.degree(wk.cur), self.g.indptr[wk.cur]
+        for _ in range(_RETRY_ROUNDS):
             bad = w <= 0.0
             if not bad.any():
                 break
-            sub = wk.take(bad)
-            d = deg[bad]
-            retry = np.minimum((self.rng.random(len(sub)) * d).astype(np.int64), d - 1)
-            w_retry = self.model.dyn_weight(self.g, sub, start[bad] + retry)
+            retry = self._uniform_slot(deg[bad])
+            w_retry = self.model.dyn_weight(self.g, wk.take(bad), start[bad] + retry)
             better = w_retry > 0.0
             idx = np.where(bad)[0][better]
             slot[idx] = retry[better]
@@ -137,21 +132,11 @@ class MHSampler(EdgeSampler):
             # uniform retries can miss them all — fall back to an exact
             # scan of the stubborn walkers' adjacency so a state with
             # any valid neighbor is never initialized invalid.
-            from repro.samplers.segment import ragged_arange, segment_ids
-
-            sub = wk.take(bad)
-            lens = deg[bad]
-            sid = segment_ids(lens)
-            within = ragged_arange(lens)
-            w_all = self.model.dyn_weight(
-                self.g, sub.take(sid), start[bad][sid] + within
+            best = segmented_argmax(
+                *neighbor_dyn_weights(self.g, self.model, wk.take(bad))
             )
-            offs = np.concatenate([[0], np.cumsum(lens)])
-            idx = np.where(bad)[0]
-            for i in range(len(sub)):
-                seg = w_all[offs[i] : offs[i + 1]]
-                if seg.size and seg.max() > 0:
-                    slot[idx[i]] = int(np.argmax(seg))
+            found = best >= 0
+            slot[np.where(bad)[0][found]] = best[found]
         return slot
 
     # ------------------------------------------------------------------
@@ -160,31 +145,25 @@ class MHSampler(EdgeSampler):
         g = self.g
         deg = g.degree(wk.cur)
         start = g.indptr[wk.cur]
-        k = len(wk)
-        if self.init == "random":
-            slot = np.minimum((self.rng.random(k) * deg).astype(np.int64), deg - 1)
-            w = self.model.dyn_weight(g, wk, start + slot)
-            slot = self._retry_invalid(wk, deg, start, slot, w)
-        elif self.init == "weight":
+        if self.init == "weight":
             # Approximate high-weight: argmax of dyn weight over
             # hw_samples uniform candidate slots per state (§III-C).
-            K = self.hw_samples
-            rep = wk.repeat(K)
-            deg_rep = np.repeat(deg, K)
-            slots = np.minimum(
-                (self.rng.random(k * K) * deg_rep).astype(np.int64), deg_rep - 1
-            )
-            w = self.model.dyn_weight(g, rep, np.repeat(start, K) + slots)
+            k, K = len(wk), self.hw_samples
+            slots = self._uniform_slot(np.repeat(deg, K))
+            w = self.model.dyn_weight(g, wk.repeat(K), np.repeat(start, K) + slots)
             w = w.reshape(k, K)
             best = np.argmax(w, axis=1)
             rows = np.arange(k)
             slot = slots.reshape(k, K)[rows, best]
-            slot = self._retry_invalid(wk, deg, start, slot, w[rows, best])
-        else:  # burn-in
-            slot = np.minimum((self.rng.random(k) * deg).astype(np.int64), deg - 1)
-            w_slot = self.model.dyn_weight(g, wk, start + slot)
-            for _ in range(self.burn_in):
-                slot, w_slot = self._mh_iterate(wk, slot, w_slot)
+            slot = self._retry_invalid(wk, slot, w[rows, best])
+        else:
+            slot = self._uniform_slot(deg)
+            w = self.model.dyn_weight(g, wk, start + slot)
+            if self.init == "random":
+                slot = self._retry_invalid(wk, slot, w)
+            else:  # burn-in
+                for _ in range(self.burn_in):
+                    slot, w = self._mh_iterate(wk, slot, w)
         self.manager.set(state, slot)
 
     # ------------------------------------------------------------------
@@ -201,7 +180,7 @@ class MHSampler(EdgeSampler):
 
         start = g.indptr[wk.cur]
         last = self.manager.get(state).astype(np.int64)
-        cand = self._propose(wk)
+        cand = self._uniform_slot(g.degree(wk.cur))
         # w_last and w_cand in one dyn_weight call (one edge search):
         # walker i's last slot at 2i, its candidate at 2i + 1.
         pairs = np.repeat(start, 2) + np.column_stack([last, cand]).ravel()

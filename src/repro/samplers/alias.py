@@ -51,6 +51,7 @@ from repro.samplers.base import (
     MemoryBudgetExceeded,
     REAL_ENTRY_CAP,
 )
+from repro.samplers.segment import window_choice
 
 #: (state, candidate) entries whose dynamic weights the threads of
 #: :func:`build_tables` evaluate at once, split evenly between them: each
@@ -163,19 +164,14 @@ def sample_tables(
     u: np.ndarray,
 ) -> np.ndarray:
     """Inverse-CDF draw from tables ``table`` of :func:`build_tables`
-    with uniforms ``u``: one windowed ``searchsorted`` over the global
-    running sum (the first draw in a process computes it). Returns the
-    drawn candidate's global CSR slot (``first_slot`` is each walker's
-    ``indptr[cur]``), ``-1`` where the table's total weight is ~0 (no
-    valid candidate)."""
-    cum, offs = tables.cum(), tables.offs
-    lo = offs[table]
-    hi = offs[table + 1]
-    base = cum[lo]
-    totals = cum[hi] - base
-    pos = np.searchsorted(cum, base + u * totals, side="right") - 1
-    pos = np.clip(pos, lo, np.maximum(hi - 1, lo))
-    return np.where(totals > 1e-300, first_slot + (pos - lo), -1)
+    with uniforms ``u``: one :func:`~repro.samplers.segment.window_choice`
+    over the global running sum (the first draw in a process computes
+    it). Returns the drawn candidate's global CSR slot (``first_slot``
+    is each walker's ``indptr[cur]``), ``-1`` where the table's total
+    weight is ~0 (no valid candidate)."""
+    offs = tables.offs
+    off = window_choice(tables.cum(), offs[table], offs[table + 1], u)
+    return np.where(off >= 0, first_slot + off, -1)
 
 
 def _enumerate_states(g: CSRGraph, model):

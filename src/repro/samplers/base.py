@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
+from repro.samplers.segment import window_choice
 
 # Paper-normalized per-entry byte costs.
 BYTES_TABLE_ENTRY = 12  # alias table entry: prob (f8) + alias (i4)
@@ -118,15 +119,10 @@ class StaticSampler(EdgeSampler):
         self._prepared = True
 
     def sample_nodes(self, cur: np.ndarray) -> np.ndarray:
-        """Draw one neighbor edge slot per node in ``cur`` ∝ static w."""
-        g = self.g
-        lo = g.indptr[cur]
-        hi = g.indptr[cur + 1]
-        base = self.wcum[lo]
-        totals = self.wcum[hi] - base
-        target = base + self.rng.random(cur.shape[0]) * totals
-        pos = np.searchsorted(self.wcum, target, side="right") - 1
-        return np.clip(pos, lo, np.maximum(hi - 1, lo))
+        """One neighbor edge slot per node in ``cur`` ∝ static w; -1 if it has none."""
+        lo, hi = self.g.indptr[cur], self.g.indptr[cur + 1]
+        off = window_choice(self.wcum, lo, hi, self.rng.random(cur.shape[0]))
+        return np.where(off >= 0, lo + off, -1)
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         return self.sample_nodes(wk.cur)

@@ -12,21 +12,15 @@ import numpy as np
 
 from repro.core.abstraction import WalkerBatch
 from repro.samplers.base import EdgeSampler
-from repro.samplers.segment import ragged_arange, segment_ids, segmented_choice
+from repro.samplers.segment import neighbor_dyn_weights, segmented_choice
 
 
 class DirectSampler(EdgeSampler):
     name = "direct"
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
-        g = self.g
-        lens = g.degree(wk.cur)
-        sid = segment_ids(lens)
-        within = ragged_arange(lens)
-        cand_eidx = g.indptr[wk.cur][sid] + within
-        wk_flat = wk.take(sid)
-        w = self.model.dyn_weight(g, wk_flat, cand_eidx)
+        w, lens = neighbor_dyn_weights(self.g, self.model, wk)
         off = segmented_choice(w, lens, self.rng.random(len(wk)))
         self.stats["proposals"] += len(wk)
         self.stats["accepts"] += len(wk)
-        return np.where(off >= 0, g.indptr[wk.cur] + off, -1)
+        return np.where(off >= 0, self.g.indptr[wk.cur] + off, -1)

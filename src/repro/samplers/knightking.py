@@ -33,7 +33,7 @@ from repro.samplers.base import (
     MemoryBudget,
     StaticSampler,
 )
-from repro.samplers.rejection import RejectionSampler, _MAX_ROUNDS
+from repro.samplers.rejection import RejectionSampler, rejection_rounds
 
 
 class KnightKingSampler(EdgeSampler):
@@ -82,26 +82,17 @@ class KnightKingSampler(EdgeSampler):
             self.stats["accepts"] += len(wk)
             return eidx
         # Metapath: alias draw + reject wrong-typed candidates.
-        out = np.full(len(wk), -1, dtype=np.int64)
-        pending = np.arange(len(wk))
-        for _ in range(_MAX_ROUNDS):
-            sub = wk.take(pending)
+        def step(sub: WalkerBatch, pending: np.ndarray):
             eidx = self._static.sample_nodes(sub.cur)
-            acc = g.node_type[g.indices[eidx]] == sub.req_type
-            self.stats["proposals"] += int(pending.shape[0])
-            self.stats["accepts"] += int(acc.sum())
-            out[pending[acc]] = eidx[acc]
-            pending = pending[~acc]
-            if pending.shape[0] == 0:
-                break
-        return out
+            return eidx, g.node_type[g.indices[eidx]] == sub.req_type
+
+        return rejection_rounds(self.stats, wk, step)
 
     def _sample_node2vec_folded(self, wk: WalkerBatch) -> np.ndarray:
         g = self.g
         m: Node2Vec = self.model
         b = max(1.0, 1.0 / m.q)
         inv_p = 1.0 / m.p
-        out = np.full(len(wk), -1, dtype=np.int64)
 
         # Envelope = b·w over all neighbors + the excess point mass of
         # the single return edge (cur -> prev): exactly covers α·w.
@@ -109,13 +100,10 @@ class KnightKingSampler(EdgeSampler):
         excess = np.where(
             back_eidx >= 0, g.weights[np.maximum(back_eidx, 0)], 0.0
         ) * max(inv_p - b, 0.0)
-        fold_p = excess / (excess + g.weight_sums()[wk.cur] * b)
+        # 0, not 0/0, at a node without neighbors.
+        fold_p = excess / np.maximum(excess + g.weight_sums()[wk.cur] * b, 1e-300)
 
-        pending = np.arange(len(wk))
-        for _ in range(_MAX_ROUNDS):
-            if pending.shape[0] == 0:
-                break
-            sub = wk.take(pending)
+        def step(sub: WalkerBatch, pending: np.ndarray):
             k = pending.shape[0]
             # Each retry re-draws from the full envelope mixture: the
             # fold branch is pre-accepted (its mass is exact), the
@@ -125,13 +113,9 @@ class KnightKingSampler(EdgeSampler):
             cand = g.indices[eidx].astype(np.int64)
             alpha = np.minimum(node2vec_alpha(g, sub.prev, cand, m.p, m.q), b)
             acc = self.rng.random(k) < alpha / b
-            eidx = np.where(fold, back_eidx[pending], eidx)
-            acc = fold | acc
-            self.stats["proposals"] += k
-            self.stats["accepts"] += int(acc.sum())
-            out[pending[acc]] = eidx[acc]
-            pending = pending[~acc]
-        return out
+            return np.where(fold, back_eidx[pending], eidx), fold | acc
+
+        return rejection_rounds(self.stats, wk, step)
 
     # ------------------------------------------------------------------
     def sample(self, wk: WalkerBatch) -> np.ndarray:

@@ -10,7 +10,7 @@ sensitivity of Table II.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,6 +25,27 @@ from repro.samplers.base import (
 )
 
 _MAX_ROUNDS = 10_000
+
+
+def rejection_rounds(stats: dict, wk: WalkerBatch, step: Callable) -> np.ndarray:
+    """Up to ``_MAX_ROUNDS`` rejection rounds; returns each walker's
+    accepted edge slot, ``-1`` if none. ``step(wk.take(pending),
+    pending)`` proposes a slot per pending walker (``-1`` if it has no
+    neighbor, which ends the walker whatever the verdict) and says which
+    it accepts. Proposals and accepts are counted in ``stats``."""
+    out = np.full(len(wk), -1, dtype=np.int64)
+    pending = np.arange(len(wk))
+    for _ in range(_MAX_ROUNDS):
+        if pending.shape[0] == 0:
+            break
+        eidx, acc = step(wk.take(pending), pending)
+        none = eidx < 0
+        acc &= ~none
+        stats["proposals"] += int(pending.shape[0])
+        stats["accepts"] += int(acc.sum())
+        out[pending[acc]] = eidx[acc]
+        pending = pending[~(acc | none)]
+    return out
 
 
 def proposal_bound(g: CSRGraph, model: RandomWalkModel) -> float:
@@ -72,18 +93,11 @@ class RejectionSampler(EdgeSampler):
         if not self._prepared:
             self.prepare()
         g = self.g
-        out = np.full(len(wk), -1, dtype=np.int64)
-        pending = np.arange(len(wk))
-        for _ in range(_MAX_ROUNDS):
-            sub = wk.take(pending)
+
+        def step(sub: WalkerBatch, pending: np.ndarray):
             eidx = self._static.sample_nodes(sub.cur)
             wdyn = self.model.dyn_weight(g, sub, eidx)
             acc_p = wdyn / (self._bound * g.weights[eidx])
-            acc = self.rng.random(pending.shape[0]) < acc_p
-            self.stats["proposals"] += int(pending.shape[0])
-            self.stats["accepts"] += int(acc.sum())
-            out[pending[acc]] = eidx[acc]
-            pending = pending[~acc]
-            if pending.shape[0] == 0:
-                break
-        return out
+            return eidx, self.rng.random(len(sub)) < acc_p
+
+        return rejection_rounds(self.stats, wk, step)

@@ -7,6 +7,7 @@ from repro.core.abstraction import WalkerBatch
 from repro.core.mh_sampler import MHSampler
 from repro.core.sampler_manager import SamplerManager
 from repro.core.theory import exact_transition, tv_distance
+from repro.graph.csr import from_edges
 from repro.models import make_model
 from repro.samplers.base import MemoryBudget
 
@@ -75,6 +76,68 @@ def test_mh_zero_weight_candidates_never_kept(g):
     for _ in range(200):
         e = s.sample(wk)
         assert g.node_type[g.indices[int(e[0])]] == 1
+
+
+def _retry_invalid_loop(s, wk, deg, start, slot, w, rounds=6):
+    """Reference: ``MHSampler._retry_invalid`` as a per-walker loop."""
+    for _ in range(rounds):
+        bad = w <= 0.0
+        if not bad.any():
+            break
+        sub = wk.take(bad)
+        d = deg[bad]
+        retry = np.minimum((s.rng.random(len(sub)) * d).astype(np.int64), d - 1)
+        w_retry = s.model.dyn_weight(s.g, sub, start[bad] + retry)
+        better = w_retry > 0.0
+        idx = np.where(bad)[0][better]
+        slot[idx] = retry[better]
+        w[idx] = w_retry[better]
+    bad = w <= 0.0
+    if bad.any():
+        sub = wk.take(bad)
+        lens = deg[bad]
+        sid = np.repeat(np.arange(len(sub)), lens)
+        within = np.concatenate([np.arange(n) for n in lens])
+        w_all = s.model.dyn_weight(s.g, sub.take(sid), start[bad][sid] + within)
+        offs = np.concatenate([[0], np.cumsum(lens)])
+        idx = np.where(bad)[0]
+        for i in range(len(sub)):
+            seg = w_all[offs[i] : offs[i + 1]]
+            if seg.size and seg.max() > 0:
+                slot[idx[i]] = int(np.argmax(seg))
+    return slot
+
+
+def test_mh_exact_init_scan_matches_per_walker_loop():
+    """Walkers needing a type-1 neighbor: at node 0 one among 200, at
+    node 300 a tie of two among 60, at node 400 none among 20. The
+    uniform retries mostly miss, so the exact scan decides; it must
+    pick what the per-walker loop picked."""
+    nbrs = {0: range(1, 201), 300: range(301, 361), 400: range(401, 421)}
+    src = np.concatenate([np.full(len(r), v) for v, r in nbrs.items()])
+    dst = np.concatenate([np.array(r) for r in nbrs.values()])
+    nt = np.zeros(421, dtype=np.int16)
+    nt[[100, 320, 340]] = 1
+    g = from_edges(src, dst, n=421, node_type=nt)
+    model = make_model("metapath2vec", metapath=[0, 1, 0])
+    cur = np.random.default_rng(0).permutation(np.repeat([0, 300, 400], [30, 30, 10]))
+    none = np.full(cur.shape[0], -1, dtype=np.int64)
+    wk = WalkerBatch(cur=cur, prev=none, prev_eidx=none,
+                     req_type=np.ones(cur.shape[0], dtype=np.int16))
+    deg, start = g.degree(cur), g.indptr[cur]
+    zeros = np.zeros(cur.shape[0], dtype=np.int64)
+
+    s = MHSampler(g, model, np.random.default_rng(5), init="random")
+    got = s._retry_invalid(wk, zeros.copy(), np.zeros(cur.shape[0]))
+    ref = MHSampler(g, model, np.random.default_rng(5), init="random")
+    want = _retry_invalid_loop(ref, wk, deg, start, zeros.copy(), np.zeros(cur.shape[0]))
+
+    np.testing.assert_array_equal(got, want)
+    assert s.rng.random() == ref.rng.random()
+    valid = cur != 400
+    assert (nt[g.indices[start + got]][valid] == 1).all()
+    assert (got[cur == 0] == 99).all()  # node 100 sits in slot 99
+    assert (got[~valid] == 0).all()
 
 
 def test_mh_invalid_init_raises(g):

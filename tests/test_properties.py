@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import theory
 from repro.graph.csr import from_edges
-from repro.samplers.segment import ragged_arange, segment_ids, segmented_choice
+from repro.samplers.segment import (
+    ragged_arange,
+    segment_ids,
+    segmented_argmax,
+    segmented_choice,
+    window_choice,
+)
 
 
 @given(st.lists(st.integers(0, 7), min_size=1, max_size=30))
@@ -39,6 +45,54 @@ def test_segmented_choice_in_range_and_deterministic(segs, seed):
     off = segmented_choice(w, lens, u)
     assert ((off >= 0) & (off < lens)).all()
     assert (segmented_choice(w, lens, u) == off).all()
+
+
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 100.0),
+             min_size=1, max_size=40),
+    st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 40),
+                  st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_window_choice_matches_python_inverse_cdf(w, windows):
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    m = len(w)
+    lo = np.array([min(a, b, m) for a, b, _ in windows], dtype=np.int64)
+    hi = np.array([min(max(a, b), m) for a, b, _ in windows], dtype=np.int64)
+    u = np.array([x for _, _, x in windows])
+    expected = []
+    for a, b, x in zip(lo, hi, u):
+        total = cum[b] - cum[a]
+        if total <= 1e-300:
+            expected.append(-1)
+            continue
+        target = cum[a] + x * total
+        # First entry whose running sum passes the target, else the last.
+        hit = [j for j in range(a, b) if cum[j + 1] > target]
+        expected.append((hit[0] if hit else b - 1) - a)
+    assert window_choice(cum, lo, hi, u).tolist() == expected
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 4.0]), max_size=8),
+        min_size=1,
+        max_size=20,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_segmented_argmax_matches_per_segment_loop(segs):
+    x = np.array([v for s in segs for v in s], dtype=np.float64)
+    lens = np.array([len(s) for s in segs], dtype=np.int64)
+    expected = []
+    for seg in segs:
+        seg = np.array(seg)
+        expected.append(int(np.argmax(seg)) if seg.size and seg.max() > 0 else -1)
+    assert segmented_argmax(x, lens).tolist() == expected
 
 
 @given(st.integers(2, 200), st.integers(0, 2**31))

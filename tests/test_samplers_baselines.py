@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.abstraction import WalkerBatch
 from repro.core.theory import exact_transition, tv_distance
+from repro.graph.csr import from_edges
 from repro.models import make_model
 from repro.samplers import alias, make_sampler
 from repro.samplers.base import (
@@ -86,6 +87,48 @@ def test_static_sampler_matches_static_weights(g):
     emp = empirical_distribution_batched(g, s, v, -1, None, 30000)
     w = g.neighbor_weights(v)
     assert tv_distance(w / w.sum(), emp) < 0.03
+
+
+# ----------------------------------------------------------------------
+# Isolated nodes: a walker with no neighbor gets -1, never another
+# node's slot
+# ----------------------------------------------------------------------
+def _isolated_graph():
+    """Node 0 is isolated; nodes 1, 2, 3 form a triangle."""
+    return from_edges(np.array([1, 2, 2, 3]), np.array([2, 3, 1, 1]), n=4)
+
+
+def test_static_sampler_isolated_node_returns_minus_one():
+    g = _isolated_graph()
+    s = StaticSampler(g, make_model("deepwalk"), np.random.default_rng(0))
+    s.prepare()
+    cur = np.array([0, 1, 2, 3, 0])
+    eidx = s.sample_nodes(cur)
+    assert (eidx[cur == 0] == -1).all()
+    ok = cur != 0
+    assert ((eidx[ok] >= g.indptr[cur[ok]]) & (eidx[ok] < g.indptr[cur[ok] + 1])).all()
+
+
+@pytest.mark.parametrize("sname", ["rejection", "knightking"])
+@pytest.mark.parametrize("mname", ["deepwalk", "node2vec"])
+def test_rejection_family_isolated_node_returns_minus_one(sname, mname):
+    g = _isolated_graph()
+    # p = 0.25 gives KnightKing's return edge an excess mass to fold.
+    model = make_model(mname, p=0.25, q=4.0)
+    cur = np.array([0, 1, 2, 3, 0])
+    prev = np.array([-1, 2, 3, 1, -1]) if model.order == 2 else np.full(5, -1)
+    prev_eidx = np.where(prev >= 0, g.edge_index(np.maximum(prev, 0), cur), -1)
+    wk = WalkerBatch(cur=cur, prev=prev, prev_eidx=prev_eidx)
+    s = make_sampler(sname, g, model, np.random.default_rng(0))
+    s.prepare()
+    eidx = s.sample(wk)
+    assert (eidx[cur == 0] == -1).all()
+    ok = cur != 0
+    assert ((eidx[ok] >= g.indptr[cur[ok]]) & (eidx[ok] < g.indptr[cur[ok] + 1])).all()
+    # A lone isolated walker stops after one proposal, not _MAX_ROUNDS.
+    before = s.stats["proposals"]
+    assert s.sample(wk.take(np.array([0]))).tolist() == [-1]
+    assert s.stats["proposals"] == before + 1
 
 
 # ----------------------------------------------------------------------
