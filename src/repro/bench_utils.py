@@ -14,6 +14,8 @@ from repro.samplers.base import MemoryBudget
 
 #: Paper-normalized CSR cost: 4 bytes (neighbor id) per directed slot.
 BYTES_GRAPH_PER_SLOT = 4
+#: ``spark.sql.shuffle.partitions`` of :func:`get_or_create_spark`.
+SHUFFLE_PARTITIONS = 64
 
 
 class Timer:
@@ -124,20 +126,16 @@ def set_spark_submit_args() -> None:
 def get_or_create_spark(app: str = "repro-job"):
     """The repo's one SparkSession recipe, for ``jobs/`` entry points
     and the tests' ``spark`` fixture: :func:`set_spark_submit_args`,
-    then the per-session configs honoured after launch — shuffle
-    partitions (``SPARK_SHUFFLE_PARTITIONS``, default 64), Arrow on and
-    broadcast joins disabled, so papers about shuffle/join algorithms
-    exercise the shuffle path at SF~=0.1 (a reproduction that wants a
-    broadcast join sets the threshold back for that query)."""
+    then the per-session configs honoured after launch. Arrow on and
+    broadcast joins off are the flags of walkbench's session too, so the
+    tests run the walk engine's ``mapInPandas`` path under the settings
+    that walkbench measures."""
     set_spark_submit_args()
     from pyspark.sql import SparkSession
 
     return (
         SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

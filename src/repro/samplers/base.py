@@ -80,14 +80,15 @@ class EdgeSampler:
         self._prepared = True
 
     def task_copy(self) -> "EdgeSampler":
-        """Shallow copy for one walk-generation task: it shares the
-        prepared read-only tables, and subclasses give it fresh
-        per-state chain memory so no task sees another's."""
-        return copy.copy(self)
+        """Copy for one walk-generation task. It shares the graph and
+        the prepared read-only tables; its ``stats`` start at zero, and
+        :meth:`reseed` gives it its own random stream."""
+        c = copy.copy(self)
+        c.stats = {"proposals": 0, "accepts": 0}
+        return c
 
     def reseed(self, rng: np.random.Generator) -> None:
-        """Swap the random stream (per-partition seeding in the engine).
-        Subclasses holding nested samplers must propagate."""
+        """Swap the random stream (per-partition seeding in the engine)."""
         self.rng = rng
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
@@ -107,9 +108,10 @@ class StaticSampler(EdgeSampler):
     (:meth:`CSRGraph.weight_prefix`), so ``prepare()`` is a lookup after
     its first call on a graph. Serves as:
     the first step of second-order models (the original node2vec draws
-    its first edge from the static distribution), the proposal draw of
-    the rejection-family samplers, and the alias-equivalent first-order
-    sampler of KnightKing (charged at alias memory cost by callers).
+    its first edge from the static distribution), and, by inheritance,
+    the proposal draw of the rejection-family samplers and the
+    alias-equivalent first-order sampler of KnightKing (charged at
+    alias memory cost by those subclasses).
     """
 
     name = "static"

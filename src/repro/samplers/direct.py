@@ -10,17 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.abstraction import WalkerBatch
+from repro.core.abstraction import RandomWalkModel, WalkerBatch
+from repro.graph.csr import CSRGraph
 from repro.samplers.base import EdgeSampler
 from repro.samplers.segment import neighbor_dyn_weights, segmented_choice
+
+
+def direct_choice(
+    g: CSRGraph, model: RandomWalkModel, wk: WalkerBatch, u: np.ndarray
+) -> np.ndarray:
+    """One edge slot per walker ∝ its dynamic weights, by inverting the
+    CDF at the uniforms ``u``; -1 if the walker has no weighted move."""
+    w, lens = neighbor_dyn_weights(g, model, wk)
+    off = segmented_choice(w, lens, u)
+    return np.where(off >= 0, g.indptr[wk.cur] + off, -1)
 
 
 class DirectSampler(EdgeSampler):
     name = "direct"
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
-        w, lens = neighbor_dyn_weights(self.g, self.model, wk)
-        off = segmented_choice(w, lens, self.rng.random(len(wk)))
         self.stats["proposals"] += len(wk)
         self.stats["accepts"] += len(wk)
-        return np.where(off >= 0, self.g.indptr[wk.cur] + off, -1)
+        return direct_choice(self.g, self.model, wk, self.rng.random(len(wk)))

@@ -27,17 +27,17 @@ from repro.core.abstraction import RandomWalkModel, WalkerBatch, node2vec_alpha
 from repro.graph.csr import CSRGraph
 from repro.models.metapath2vec import MetaPath2Vec
 from repro.models.node2vec import Node2Vec
-from repro.samplers.base import (
-    BYTES_STATIC_ALIAS_PER_EDGE,
-    EdgeSampler,
-    MemoryBudget,
-    StaticSampler,
-)
+from repro.samplers.base import MemoryBudget
 from repro.samplers.rejection import RejectionSampler, rejection_rounds
 
 
-class KnightKingSampler(EdgeSampler):
+class KnightKingSampler(RejectionSampler):
+    """Inherits rejection's alias-charged proposal draw, its ``prepare``
+    and, for edge2vec / fairwalk, its ``sample``."""
+
     name = "knightking"
+    # Proposal / first-order draws are alias-backed in KnightKing.
+    ledger_item = "knightking_alias"
 
     def __init__(
         self,
@@ -47,43 +47,24 @@ class KnightKingSampler(EdgeSampler):
         budget: Optional[MemoryBudget] = None,
     ):
         super().__init__(g, model, rng, budget)
-        self._static = StaticSampler(g, model, rng)
         if isinstance(model, Node2Vec):
             self._mode = "fold"
         elif model.order == 2:
             self._mode = "reject"
-            self._rej = RejectionSampler(g, model, rng, MemoryBudget(None))
         else:
             self._mode = "first_order"
-
-    def reseed(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._static.rng = rng
-        if self._mode == "reject":
-            self._rej.reseed(rng)
-
-    def prepare(self) -> None:
-        # Proposal / first-order draws are alias-backed in KnightKing.
-        self.budget.charge(
-            "knightking_alias", BYTES_STATIC_ALIAS_PER_EDGE * self.g.m
-        )
-        self._static.prepare()
-        if self._mode == "reject":
-            # Its private MemoryBudget(None) absorbs the proposal charge.
-            self._rej.prepare()
-        self._prepared = True
 
     # ------------------------------------------------------------------
     def _sample_first_order(self, wk: WalkerBatch) -> np.ndarray:
         g = self.g
         if not isinstance(self.model, MetaPath2Vec):
-            eidx = self._static.sample_nodes(wk.cur)
+            eidx = self.sample_nodes(wk.cur)
             self.stats["proposals"] += len(wk)
             self.stats["accepts"] += len(wk)
             return eidx
         # Metapath: alias draw + reject wrong-typed candidates.
         def step(sub: WalkerBatch, pending: np.ndarray):
-            eidx = self._static.sample_nodes(sub.cur)
+            eidx = self.sample_nodes(sub.cur)
             return eidx, g.node_type[g.indices[eidx]] == sub.req_type
 
         return rejection_rounds(self.stats, wk, step)
@@ -109,7 +90,7 @@ class KnightKingSampler(EdgeSampler):
             # fold branch is pre-accepted (its mass is exact), the
             # general branch is rejection-tested under the tight bound.
             fold = self.rng.random(k) < fold_p[pending]
-            eidx = self._static.sample_nodes(sub.cur)
+            eidx = self.sample_nodes(sub.cur)
             cand = g.indices[eidx].astype(np.int64)
             alpha = np.minimum(node2vec_alpha(g, sub.prev, cand, m.p, m.q), b)
             acc = self.rng.random(k) < alpha / b
@@ -119,14 +100,10 @@ class KnightKingSampler(EdgeSampler):
 
     # ------------------------------------------------------------------
     def sample(self, wk: WalkerBatch) -> np.ndarray:
+        if self._mode == "reject":
+            return super().sample(wk)
         if not self._prepared:
             self.prepare()
         if self._mode == "first_order":
             return self._sample_first_order(wk)
-        if self._mode == "fold":
-            return self._sample_node2vec_folded(wk)
-        before = dict(self._rej.stats)
-        out = self._rej.sample(wk)
-        for k in ("proposals", "accepts"):
-            self.stats[k] += self._rej.stats[k] - before[k]
-        return out
+        return self._sample_node2vec_folded(wk)

@@ -3,13 +3,14 @@
 For second-order walks it schedules *which* states get a precomputed
 (alias-cost) table under a memory budget, ranking states by expected
 visit frequency per table byte; every other state falls back to the
-O(d) direct sampler. This reproduces the comparator's defining
-behaviour: it always fits in memory (handles the largest graphs) but is
-slow when the budget covers few hot states (paper §V-D). The chosen
-states' tables are built and queried by the alias sampler's
-:func:`~repro.samplers.alias.build_tables` (streamed in chunks, in
-ranking order, on a thread pool of one thread per CPU; bit-identical
-for any thread count) and :func:`~repro.samplers.alias.sample_tables`.
+O(d) direct draw (:func:`~repro.samplers.direct.direct_choice`). This
+reproduces the comparator's defining behaviour: it always fits in
+memory (handles the largest graphs) but is slow when the budget covers
+few hot states (paper §V-D). The chosen states' tables are built and
+queried by the alias sampler's :func:`~repro.samplers.alias.build_tables`
+(streamed in chunks, in ranking order, on a thread pool of one thread
+per CPU; bit-identical for any thread count) and
+:func:`~repro.samplers.alias.sample_tables`.
 They travel as per-entry weights, and each process sums them once, on
 its first draw (:class:`~repro.samplers.alias.Tables`).
 """
@@ -23,7 +24,7 @@ from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
 from repro.samplers.alias import build_tables, sample_tables
 from repro.samplers.base import BYTES_TABLE_ENTRY, EdgeSampler, MemoryBudget
-from repro.samplers.direct import DirectSampler
+from repro.samplers.direct import direct_choice
 
 
 class MemoryAwareSampler(EdgeSampler):
@@ -45,11 +46,6 @@ class MemoryAwareSampler(EdgeSampler):
         self.table_budget = (
             table_budget_bytes if table_budget_bytes is not None else 4.0 * g.m
         )
-        self._direct = DirectSampler(g, model, rng)
-
-    def reseed(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._direct.rng = rng
 
     # ------------------------------------------------------------------
     def prepare(self) -> None:
@@ -93,7 +89,9 @@ class MemoryAwareSampler(EdgeSampler):
             )
         miss = ~hit
         if miss.any():
-            out[miss] = self._direct.sample(wk.take(miss))
+            out[miss] = direct_choice(
+                self.g, self.model, wk.take(miss), self.rng.random(int(miss.sum()))
+            )
         self.stats["proposals"] += len(wk)
         self.stats["accepts"] += len(wk)
         self.stats["table_hits"] = self.stats.get("table_hits", 0) + int(hit.sum())

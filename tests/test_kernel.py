@@ -6,7 +6,7 @@ import pytest
 
 from repro.graph.csr import from_edges
 from repro.models import make_model
-from repro.samplers import SAMPLER_NAMES, KnightKingSampler, StaticSampler, make_sampler
+from repro.samplers import SAMPLER_NAMES, StaticSampler, make_sampler
 from repro.walks.kernel import simulate_walks, walk_lengths, walks_to_lists
 
 from tests.util import brute_edge_index, small_graph
@@ -153,50 +153,28 @@ def _parent_static_prepare(self):
     self._prepared = True
 
 
-def _parent_knightking_prepare(self):
-    """KnightKing's reject mode wired into ``RejectionSampler``'s
-    private fields."""
-    self.budget.charge("knightking_alias", 12 * self.g.m)
-    self._static.prepare()
-    if self._mode == "reject":
-        self._rej._static = self._static
-        self._rej._prepared = True
-    self._prepared = True
-
-
-def _parent_knightking_sample(self, wk, _sample=KnightKingSampler.sample):
-    """KnightKing's reject mode moving, then resetting, the nested stats."""
-    if self._mode != "reject":
-        return _sample(self, wk)
-    out = self._rej.sample(wk)
-    self.stats["proposals"] += self._rej.stats["proposals"]
-    self.stats["accepts"] += self._rej.stats["accepts"]
-    self._rej.stats = {"proposals": 0, "accepts": 0}
-    return out
-
-
 @pytest.mark.parametrize("sname", SAMPLER_NAMES)
 @pytest.mark.parametrize("mname", ["node2vec", "edge2vec", "fairwalk"])
 def test_walks_match_per_batch_static_prefix(g, monkeypatch, mname, sname):
-    """The graph's cached static prefix and KnightKing's public-API
-    reject mode change no walk and no stat: every sampler's first
-    second-order step, and the rejection and KnightKing walks, equal the
-    per-batch prefix and private wiring they replace, over 3 batches."""
+    """The graph's cached static prefix changes no walk and no stat:
+    every sampler's first second-order step, and the rejection and
+    KnightKing walks, equal the per-batch prefix's, over 3 batches.
+    KnightKing's reject mode (edge2vec, fairwalk) is rejection sampling,
+    so there the reference is ``rejection`` with the same seed."""
     model = make_model(mname, p=0.25, q=4.0)
     starts = model.start_nodes(g)[:40]
 
-    def run():
+    def run(name):
         fresh = dataclasses.replace(g)
-        s = make_sampler(sname, fresh, model, np.random.default_rng(11))
+        s = make_sampler(name, fresh, model, np.random.default_rng(11))
         s.prepare()
         walks = [simulate_walks(fresh, model, starts, 15, s, s.rng) for _ in range(3)]
         return np.stack(walks), dict(s.stats)
 
-    walks, stats = run()
+    walks, stats = run(sname)
     monkeypatch.setattr(StaticSampler, "prepare", _parent_static_prepare)
-    monkeypatch.setattr(KnightKingSampler, "prepare", _parent_knightking_prepare)
-    monkeypatch.setattr(KnightKingSampler, "sample", _parent_knightking_sample)
-    ref_walks, ref_stats = run()
+    ref = "rejection" if sname == "knightking" and mname != "node2vec" else sname
+    ref_walks, ref_stats = run(ref)
     np.testing.assert_array_equal(walks, ref_walks)
     assert stats == ref_stats
 
@@ -221,7 +199,7 @@ def test_static_prefix_computed_once_per_graph(g, monkeypatch):
             s.prepare()
             for _ in range(3):
                 simulate_walks(fresh, model, starts, 5, s, s.rng)
-            assert s._static.wcum is fresh.weight_prefix()
+            assert s.wcum is fresh.weight_prefix()
     for fresh in graphs:
         assert sum(a is fresh.weights for a in calls) == 1
         np.testing.assert_array_equal(

@@ -15,13 +15,15 @@ from repro.core.abstraction import WalkerBatch
 from repro.core.theory import exact_transition, tv_distance
 from repro.graph.csr import from_edges
 from repro.models import make_model
-from repro.samplers import alias, make_sampler
+from repro.samplers import SAMPLER_NAMES, alias, make_sampler
 from repro.samplers.base import (
+    EdgeSampler,
     MemoryBudget,
     MemoryBudgetExceeded,
     StaticSampler,
 )
 from repro.samplers.segment import ragged_arange, segment_ids, segmented_choice
+from repro.walks.kernel import simulate_walks
 
 from tests.util import (
     empirical_distribution_batched,
@@ -574,13 +576,38 @@ def test_sampler_registry_unknown(g):
         make_sampler("bogus", g, make_model("deepwalk"), np.random.default_rng(0))
 
 
-def test_reseed_propagates_to_nested(g):
-    for name in ["rejection", "knightking", "memory_aware"]:
-        model = make_model("node2vec")
-        s = make_sampler(name, g, model, np.random.default_rng(0))
-        rng = np.random.default_rng(42)
-        s.reseed(rng)
-        assert s.rng is rng
-        for attr in ["_static", "_direct"]:
-            if hasattr(s, attr):
-                assert getattr(s, attr).rng is rng
+ISOLATION = [
+    (m, n) for m in ("node2vec", "deepwalk") for n in SAMPLER_NAMES
+    if not (m == "deepwalk" and n == "memory_aware")
+]
+
+
+@pytest.mark.parametrize("mname,sname", ISOLATION)
+def test_task_copies_are_isolated(g, mname, sname):
+    """Two reseeded task copies of one prepared sampler draw and count
+    like solo runs with their seeds, and the prepared sampler counts
+    nothing: a copy shares only the graph and read-only tables, and no
+    sampler holds another sampler."""
+    model = make_model(mname, p=0.25, q=4.0)
+    starts = model.start_nodes(g)[:40]
+    s = make_sampler(sname, g, model, np.random.default_rng(0))
+    s.prepare()
+    assert not [k for k, v in vars(s).items() if isinstance(v, EdgeSampler)]
+
+    def walk(c):
+        return simulate_walks(g, model, starts, 10, c, c.rng), dict(c.stats)
+
+    def solo(seed):
+        c = s.task_copy()
+        c.reseed(np.random.default_rng(seed))
+        return walk(c)
+
+    a, b = s.task_copy(), s.task_copy()
+    a.reseed(np.random.default_rng(1))
+    b.reseed(np.random.default_rng(2))
+    for c, seed in ((a, 1), (b, 2)):
+        walks, stats = walk(c)
+        want_walks, want_stats = solo(seed)
+        np.testing.assert_array_equal(walks, want_walks)
+        assert stats == want_stats and stats["proposals"] > 0
+    assert s.stats == {"proposals": 0, "accepts": 0}
