@@ -9,28 +9,16 @@ Run: ``python jobs/table5_dataset_stats.py`` (or spark-submit).
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-
 from repro.bench_utils import get_or_create_spark, print_table
 from repro.datasets import DATASETS
-from repro.graph.builder import clean_edges, summary_stats
+from repro.graph.builder import clean_edges, edges_df, summary_stats
 
 
 def build_rows(spark):
     rows = []
     for spec in DATASETS.values():
         g = spec.build()
-        edges = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "src": g.src,
-                    "dst": g.indices.astype(np.int64),
-                    "weight": g.weights,
-                }
-            )
-        )
-        stats = summary_stats(clean_edges(edges)).collect()[0]
+        stats = summary_stats(clean_edges(edges_df(spark, g))).collect()[0]
         pv, pe, pdeg, pt = spec.paper_stats
         rows.append(
             [

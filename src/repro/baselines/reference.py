@@ -94,11 +94,7 @@ def reference_walks(
                 cdf = np.cumsum(g.weights[lo:hi])
             else:
                 # Per-step full normalization (direct sampling).
-                req = None
-                if model.needs_types and model.order == 1:
-                    req = model.required_type(
-                        g, t, g.node_type[np.array([int(s0)])]
-                    )
+                req = model.required_type(g, t, g.node_type[np.array([int(s0)])])
                 wk = WalkerBatch(
                     cur=np.full(deg, cur, dtype=np.int64),
                     prev=np.full(deg, prev, dtype=np.int64),

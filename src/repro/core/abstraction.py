@@ -14,7 +14,7 @@ to a flat sampler-manager slot — the 2D data layout of §IV-C
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,14 +61,18 @@ class WalkerBatch:
 class RandomWalkModel:
     """Base class: Table IV as code.
 
-    Subclasses set :attr:`order` (1 = state is the current node or
-    (type, node); 2 = state is the previous edge) and implement
-    :meth:`dyn_weight` / :meth:`state_index` / :meth:`num_states`.
+    A model owns its state space: :meth:`states` enumerates it and
+    :meth:`state_index` / :meth:`num_states` lay it out flat, so
+    samplers never ask which model they serve. It also owns
+    :meth:`weight_bound`, the dynamic/static weight ratio bound that
+    rejection-style samplers need (KnightKing's application-supplied
+    upper bound). The defaults are deepwalk's: one state per node
+    (:attr:`order` 1), ``w' = w``. Subclasses implement
+    :meth:`dyn_weight` and override what differs.
     """
 
     name: str = "abstract"
     order: int = 1
-    needs_types: bool = False
 
     # -- the paper's calculateWeight, vectorized ------------------------
     def dyn_weight(
@@ -78,12 +82,23 @@ class RandomWalkModel:
         (global CSR slots out of each walker's current node)."""
         raise NotImplementedError
 
+    def weight_bound(self, g: CSRGraph) -> float:
+        """An upper bound ``b`` with ``w' <= b · w`` for every state and
+        candidate edge of ``g``."""
+        return 1.0
+
     # -- the 2D layout: walker state -> flat sampler slot ---------------
     def state_index(self, g: CSRGraph, wk: WalkerBatch) -> np.ndarray:
-        raise NotImplementedError
+        return wk.cur
 
     def num_states(self, g: CSRGraph) -> int:
-        raise NotImplementedError
+        return g.n
+
+    def states(self, g: CSRGraph) -> WalkerBatch:
+        """One walker per state, in :meth:`state_index` order."""
+        cur = np.arange(g.n, dtype=np.int64)
+        none = np.full_like(cur, -1)
+        return WalkerBatch(cur=cur, prev=none, prev_eidx=none)
 
     # -- walk-level hooks ----------------------------------------------
     def start_nodes(self, g: CSRGraph) -> np.ndarray:
@@ -98,6 +113,41 @@ class RandomWalkModel:
         """Walkers that cannot take any step (dead ends). Default: only
         zero-degree nodes."""
         return g.degree(wk.cur) == 0
+
+
+@dataclass
+class SecondOrderModel(RandomWalkModel):
+    """The node2vec family (node2vec, edge2vec, fairwalk): the state is
+    the previously traversed edge ``(s, v)`` (#states = |E| directed
+    slots) and ``w'`` carries the bias :func:`node2vec_alpha` of the
+    return parameter ``p`` and in-out parameter ``q``."""
+
+    p: float = 1.0
+    q: float = 1.0
+    order = 2
+
+    def state_index(self, g: CSRGraph, wk: WalkerBatch) -> np.ndarray:
+        # Affixture = slot of the previous edge (s -> v): its global CSR
+        # index, known for free from the step that traversed it.
+        return wk.prev_eidx
+
+    def num_states(self, g: CSRGraph) -> int:
+        return g.m
+
+    def states(self, g: CSRGraph) -> WalkerBatch:
+        """One walker per directed edge (s -> v), in edge-source order:
+        membership queries of :func:`node2vec_alpha` over these states
+        arrive with non-decreasing ``prev`` and take ``has_edge``'s O(1)
+        marker path."""
+        return WalkerBatch(
+            cur=g.indices.astype(np.int64),
+            prev=g.src,
+            prev_eidx=np.arange(g.m, dtype=np.int64),
+        )
+
+    def weight_bound(self, g: CSRGraph) -> float:
+        """The largest ``α``."""
+        return max(1.0, 1.0 / self.p, 1.0 / self.q)
 
 
 def node2vec_alpha(

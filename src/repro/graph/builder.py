@@ -11,9 +11,19 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from pyspark.sql import DataFrame, functions as F
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.graph import csr
+
+
+def edges_df(spark: SparkSession, g: csr.CSRGraph) -> DataFrame:
+    """The CSR back to a Spark edge table ``(src, dst, weight)``."""
+    return spark.createDataFrame(
+        pd.DataFrame(
+            {"src": g.src, "dst": g.indices.astype(np.int64), "weight": g.weights}
+        )
+    )
 
 
 def clean_edges(edges: DataFrame) -> DataFrame:

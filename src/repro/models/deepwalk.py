@@ -1,7 +1,8 @@
 """Deepwalk random walk model (Perozzi et al., KDD'14; paper Eq. 1).
 
 First-order: the state is the current node ``v`` and the dynamic edge
-weight is the static weight ``w_vu`` — #states = |V|.
+weight is the static weight ``w_vu`` — #states = |V|, the state space
+of :class:`~repro.core.abstraction.RandomWalkModel`'s defaults.
 """
 from __future__ import annotations
 
@@ -13,13 +14,6 @@ from repro.graph.csr import CSRGraph
 
 class DeepWalk(RandomWalkModel):
     name = "deepwalk"
-    order = 1
 
     def dyn_weight(self, g: CSRGraph, wk: WalkerBatch, cand_eidx: np.ndarray):
         return g.weights[cand_eidx]
-
-    def state_index(self, g: CSRGraph, wk: WalkerBatch) -> np.ndarray:
-        return wk.cur
-
-    def num_states(self, g: CSRGraph) -> int:
-        return g.n

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.abstraction import RandomWalkModel, WalkerBatch, node2vec_alpha
+from repro.core.abstraction import SecondOrderModel, WalkerBatch, node2vec_alpha
 from repro.graph.csr import CSRGraph
 
 
@@ -24,15 +24,11 @@ def default_transition_matrix(n_edge_types: int, seed: int = 0) -> np.ndarray:
 
 
 @dataclass
-class Edge2Vec(RandomWalkModel):
-    p: float = 1.0
-    q: float = 1.0
+class Edge2Vec(SecondOrderModel):
     #: Optional explicit M; defaults to a seeded stochastic matrix sized
     #: to the graph's edge-type count at first use.
     M: Optional[np.ndarray] = field(default=None)
     name = "edge2vec"
-    order = 2
-    needs_types = True
 
     def _matrix(self, g: CSRGraph) -> np.ndarray:
         if self.M is None:
@@ -47,17 +43,8 @@ class Edge2Vec(RandomWalkModel):
         trans = M[et[wk.prev_eidx], et[cand_eidx]]
         return alpha * trans * g.weights[cand_eidx]
 
-    def state_index(self, g: CSRGraph, wk: WalkerBatch) -> np.ndarray:
-        return wk.prev_eidx
-
-    def num_states(self, g: CSRGraph) -> int:
-        return g.m
-
-    def alpha_bound(self) -> float:
-        return max(1.0, 1.0 / self.p, 1.0 / self.q)
-
-    def trans_bound(self, g: CSRGraph) -> float:
-        """Max M entry — part of the rejection acceptance bound. The
+    def weight_bound(self, g: CSRGraph) -> float:
+        """The largest ``α`` times the largest ``M`` entry. The
         non-deterministic spread of M across candidate edges is what
         defeats KnightKing's outlier folding here (paper §V-E)."""
-        return float(self._matrix(g).max())
+        return super().weight_bound(g) * float(self._matrix(g).max())

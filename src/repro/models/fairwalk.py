@@ -9,33 +9,17 @@ is omitted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.abstraction import RandomWalkModel, WalkerBatch, node2vec_alpha
+from repro.core.abstraction import SecondOrderModel, WalkerBatch, node2vec_alpha
 from repro.graph.csr import CSRGraph
 
 
-@dataclass
-class FairWalk(RandomWalkModel):
-    p: float = 1.0
-    q: float = 1.0
+class FairWalk(SecondOrderModel):
     name = "fairwalk"
-    order = 2
-    needs_types = True
 
     def dyn_weight(self, g: CSRGraph, wk: WalkerBatch, cand_eidx: np.ndarray):
         cand = g.indices[cand_eidx].astype(np.int64)
         alpha = node2vec_alpha(g, wk.prev, cand, self.p, self.q)
         cnt = g.attr_count()[wk.cur, g.node_attr[cand]]
         return alpha * g.weights[cand_eidx] / np.maximum(cnt, 1)
-
-    def state_index(self, g: CSRGraph, wk: WalkerBatch) -> np.ndarray:
-        return wk.prev_eidx
-
-    def num_states(self, g: CSRGraph) -> int:
-        return g.m
-
-    def alpha_bound(self) -> float:
-        return max(1.0, 1.0 / self.p, 1.0 / self.q)

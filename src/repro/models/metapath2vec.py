@@ -21,13 +21,25 @@ class MetaPath2Vec(RandomWalkModel):
     #: type so the pattern tiles along the walk.
     metapath: List[int] = field(default_factory=lambda: [0, 1, 0])
     name = "metapath2vec"
-    order = 1
-    needs_types = True
 
     def __post_init__(self):
-        # The repeating cycle of types along the walk.
         mp = list(self.metapath)
+        if not mp:
+            raise ValueError("metapath must name at least one node type")
+        # The repeating cycle of types along the walk.
         self._cycle = mp[:-1] if len(mp) > 1 and mp[0] == mp[-1] else mp
+
+    def _n_types(self, g: CSRGraph) -> int:
+        """``g.n_types``, once every metapath type is checked to be one
+        of them: a missing type would index past ``g.type_count()``."""
+        T = g.n_types
+        missing = sorted({t for t in self.metapath if not 0 <= t < T})
+        if missing:
+            raise ValueError(
+                f"metapath {list(self.metapath)} names node type(s) {missing} "
+                f"missing from a graph with {T} node type(s)"
+            )
+        return T
 
     def dyn_weight(self, g: CSRGraph, wk: WalkerBatch, cand_eidx: np.ndarray):
         cand = g.indices[cand_eidx].astype(np.int64)
@@ -38,13 +50,25 @@ class MetaPath2Vec(RandomWalkModel):
         return wk.cur * np.int64(g.n_types) + wk.req_type
 
     def num_states(self, g: CSRGraph) -> int:
-        return g.n * g.n_types
+        return g.n * self._n_types(g)
+
+    def states(self, g: CSRGraph) -> WalkerBatch:
+        """One walker per (node, required type), in state-index order."""
+        T = self._n_types(g)
+        states = np.arange(g.n * T, dtype=np.int64)
+        none = np.full_like(states, -1)
+        return WalkerBatch(
+            cur=states // T, prev=none, prev_eidx=none,
+            req_type=(states % T).astype(np.int16),
+        )
 
     def start_nodes(self, g: CSRGraph) -> np.ndarray:
+        self._n_types(g)
         return np.where(g.node_type == self._cycle[0])[0].astype(np.int64)
 
     def required_type(self, g: CSRGraph, step: int, start_type: np.ndarray):
         """Type required of the node reached at ``step`` (start = 0)."""
+        self._n_types(g)
         c = self._cycle
         return np.full_like(start_type, c[step % len(c)], dtype=np.int16)
 

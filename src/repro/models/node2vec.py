@@ -7,34 +7,16 @@ the previous node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.abstraction import RandomWalkModel, WalkerBatch, node2vec_alpha
+from repro.core.abstraction import SecondOrderModel, WalkerBatch, node2vec_alpha
 from repro.graph.csr import CSRGraph
 
 
-@dataclass
-class Node2Vec(RandomWalkModel):
-    p: float = 1.0
-    q: float = 1.0
+class Node2Vec(SecondOrderModel):
     name = "node2vec"
-    order = 2
 
     def dyn_weight(self, g: CSRGraph, wk: WalkerBatch, cand_eidx: np.ndarray):
         cand = g.indices[cand_eidx].astype(np.int64)
         alpha = node2vec_alpha(g, wk.prev, cand, self.p, self.q)
         return alpha * g.weights[cand_eidx]
-
-    def state_index(self, g: CSRGraph, wk: WalkerBatch) -> np.ndarray:
-        # Affixture = slot of the previous edge (s → v): its global CSR
-        # index, known for free from the step that traversed it.
-        return wk.prev_eidx
-
-    def num_states(self, g: CSRGraph) -> int:
-        return g.m
-
-    # Maximum possible α — the rejection/KnightKing acceptance bound.
-    def alpha_bound(self) -> float:
-        return max(1.0, 1.0 / self.p, 1.0 / self.q)

@@ -29,10 +29,12 @@ excludes the prefix sum, which Table VI counts in ``T_w``, once per
 worker. No full-length temporary exists besides the table itself, and
 since each entry's weight does not depend on its chunk and the sum runs
 in one fixed order, the summed table is bit-identical for any thread
-count and schedule. States are enumerated by edge source, so node2vec's
-membership queries arrive with non-decreasing ``prev`` and take
-``CSRGraph.has_edge``'s O(1) marker path. The memory-aware sampler
-builds and queries its tables with the same two functions.
+count and schedule. The states are the model's own
+(``RandomWalkModel.states``); second-order models enumerate them by edge
+source, so node2vec's membership queries arrive with non-decreasing
+``prev`` and take ``CSRGraph.has_edge``'s O(1) marker path. The
+memory-aware sampler builds and queries its tables with the same two
+functions.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
-from repro.models.metapath2vec import MetaPath2Vec
 from repro.samplers.base import (
     BYTES_TABLE_ENTRY,
     EdgeSampler,
@@ -174,34 +175,6 @@ def sample_tables(
     return np.where(off >= 0, first_slot + off, -1)
 
 
-def _enumerate_states(g: CSRGraph, model):
-    """One walker per state, in state-index order, and the number of
-    candidates of each state (the degree of its current node)."""
-    if model.order == 2:
-        # One state per directed edge (s -> v), in edge-source order;
-        # distribution over N(v).
-        wk = WalkerBatch(
-            cur=g.indices.astype(np.int64),
-            prev=g.src,
-            prev_eidx=np.arange(g.m, dtype=np.int64),
-        )
-    elif isinstance(model, MetaPath2Vec):
-        # One state per (node, required type).
-        T = g.n_types
-        states = np.arange(g.n * T, dtype=np.int64)
-        none = np.full_like(states, -1)
-        wk = WalkerBatch(
-            cur=states // T, prev=none, prev_eidx=none,
-            req_type=(states % T).astype(np.int16),
-        )
-    else:
-        # One state per node (deepwalk).
-        cur = np.arange(g.n, dtype=np.int64)
-        none = np.full_like(cur, -1)
-        wk = WalkerBatch(cur=cur, prev=none, prev_eidx=none)
-    return wk, g.degree(wk.cur)
-
-
 class TableSampler(EdgeSampler):
     """"Alias" in the reproduced tables."""
 
@@ -209,7 +182,8 @@ class TableSampler(EdgeSampler):
 
     def prepare(self) -> None:
         g, model = self.g, self.model
-        states, lens = _enumerate_states(g, model)
+        states = model.states(g)
+        lens = g.degree(states.cur)
         # Simulated-budget charge first (this is what reproduces the
         # paper's OOM cells), then the real-allocation guardrail.
         self.budget.charge("alias_tables", BYTES_TABLE_ENTRY * int(lens.sum()))

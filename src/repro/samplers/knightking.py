@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch, node2vec_alpha
 from repro.graph.csr import CSRGraph
-from repro.models.metapath2vec import MetaPath2Vec
 from repro.models.node2vec import Node2Vec
 from repro.samplers.base import MemoryBudget
 from repro.samplers.rejection import RejectionSampler, rejection_rounds
@@ -57,7 +56,7 @@ class KnightKingSampler(RejectionSampler):
     # ------------------------------------------------------------------
     def _sample_first_order(self, wk: WalkerBatch) -> np.ndarray:
         g = self.g
-        if not isinstance(self.model, MetaPath2Vec):
+        if wk.req_type is None:
             eidx = self.sample_nodes(wk.cur)
             self.stats["proposals"] += len(wk)
             self.stats["accepts"] += len(wk)

@@ -51,8 +51,8 @@ class MemoryAwareSampler(EdgeSampler):
     def prepare(self) -> None:
         g, model = self.g, self.model
         # State = directed edge (s -> v); distribution over N(v).
-        dst = g.indices.astype(np.int64)
-        lens_all = g.degree(dst)
+        states = model.states(g)
+        lens_all = g.degree(states.cur)
         # Expected visits of state e ≈ probability of traversing e out
         # of its source under static weights; benefit per byte decides.
         visit = g.weights / np.maximum(g.weight_sums()[g.src], 1e-300)
@@ -65,11 +65,8 @@ class MemoryAwareSampler(EdgeSampler):
 
         self._table_id = np.full(g.m, -1, dtype=np.int64)
         self._table_id[assigned] = np.arange(k)
-        states = WalkerBatch(
-            cur=dst[assigned], prev=g.src[assigned], prev_eidx=assigned
-        )
         self._tables = build_tables(
-            g, model, states, lens_all[assigned], "memory-aware"
+            g, model, states.take(assigned), lens_all[assigned], "memory-aware"
         )
         self.assigned_states = k
         self._prepared = True

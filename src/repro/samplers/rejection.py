@@ -3,10 +3,10 @@
 Draws a candidate from the **static-weight proposal** distribution
 (sampled via alias-cost tables, which is exactly the memory bottleneck
 the paper attributes to this family on billion-edge graphs) and accepts
-with probability ``w'(e) / (bound · w(e))`` where ``bound`` upper-bounds
-the dynamic/static weight ratio of the model. Time per accepted sample
-is geometric in the acceptance ratio θ — hence the parameter
-sensitivity of Table II.
+with probability ``w'(e) / (bound · w(e))`` where ``bound``, the
+model's ``weight_bound``, upper-bounds its dynamic/static weight ratio.
+Time per accepted sample is geometric in the acceptance ratio θ — hence
+the parameter sensitivity of Table II.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
-from repro.models.edge2vec import Edge2Vec
 from repro.samplers.base import (
     BYTES_STATIC_ALIAS_PER_EDGE,
     MemoryBudget,
@@ -47,20 +46,6 @@ def rejection_rounds(stats: dict, wk: WalkerBatch, step: Callable) -> np.ndarray
     return out
 
 
-def proposal_bound(g: CSRGraph, model: RandomWalkModel) -> float:
-    """An upper bound ``b`` with ``w'(e) <= b · w(e)`` for every edge.
-
-    node2vec / fairwalk: ``max(1, 1/p, 1/q)``; edge2vec additionally
-    multiplies by ``max(M)``; first-order models: 1.
-    """
-    b = 1.0
-    if hasattr(model, "alpha_bound"):
-        b = model.alpha_bound()
-    if isinstance(model, Edge2Vec):
-        b *= model.trans_bound(g)
-    return float(b)
-
-
 class RejectionSampler(StaticSampler):
     """Proposal drawn by the inherited static draw
     (:meth:`StaticSampler.sample_nodes`), then accepted as above."""
@@ -77,7 +62,7 @@ class RejectionSampler(StaticSampler):
         budget: Optional[MemoryBudget] = None,
     ):
         super().__init__(g, model, rng, budget)
-        self._bound = proposal_bound(g, model)
+        self._bound = model.weight_bound(g)
 
     def prepare(self) -> None:
         # The proposal is "simple" but still alias-sampled for speed

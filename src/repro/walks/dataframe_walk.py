@@ -20,16 +20,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window, functions as F
 
+from repro.graph.builder import edges_df
 from repro.graph.csr import CSRGraph
-
-
-def edges_df(spark: SparkSession, g: CSRGraph) -> DataFrame:
-    """The CSR back to a Spark edge table ``(src, dst, weight)``."""
-    return spark.createDataFrame(
-        pd.DataFrame(
-            {"src": g.src, "dst": g.indices.astype(np.int64), "weight": g.weights}
-        )
-    )
 
 
 def first_order_walks(

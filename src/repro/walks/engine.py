@@ -50,7 +50,6 @@ def generate_walks(
     num_walks: int = 10,
     walk_length: int = 80,
     sampler: str = "mh",
-    sampler_kw: Optional[dict] = None,
     budget: Optional[MemoryBudget] = None,
     seed: int = 0,
     num_partitions: Optional[int] = None,
@@ -71,7 +70,7 @@ def generate_walks(
 
     if prepared is None:
         rng0 = np.random.default_rng(seed)
-        prepared = make_sampler(sampler, g, model, rng0, budget, **(sampler_kw or {}))
+        prepared = make_sampler(sampler, g, model, rng0, budget)
         prepared.prepare()
     bc = sc.broadcast((g, model, prepared, starts))
 

@@ -4,9 +4,10 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.theory import exact_transition, tv_distance
+from repro.graph.builder import edges_df
 from repro.models import make_model
 from repro.oracle import assert_equivalent
-from repro.walks.dataframe_walk import edges_df, first_order_walks
+from repro.walks.dataframe_walk import first_order_walks
 
 from tests.util import small_graph
 

@@ -143,6 +143,21 @@ def test_engine_no_start_nodes_raises(spark):
         generate_walks(spark, g2, model)
 
 
+def test_engine_metapath_missing_type_raises_before_any_job(spark):
+    """A metapath naming a type the graph lacks fails on the driver,
+    before generate_walks starts a Spark job."""
+    sc = spark.sparkContext
+    group = "metapath-missing-type"
+    sc.setJobGroup(group, "generate_walks must not start a job")
+    try:
+        with pytest.raises(ValueError, match="missing"):
+            generate_walks(spark, small_graph(n_types=1), make_model("metapath2vec"))
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
 def test_engine_prepared_sampler_reused(spark, g):
     """Passing a driver-prepared sampler (Table VI's T_i split) works
     and produces the same corpus shape."""

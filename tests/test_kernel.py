@@ -25,6 +25,20 @@ def g():
     return small_graph()
 
 
+@pytest.mark.parametrize("sname", SAMPLER_NAMES)
+def test_metapath_missing_type_raises_value_error(sname):
+    """The default metapath [0, 1, 0] on a one-type graph: every sampler
+    fails with a ValueError before a walk indexes ``type_count()`` by the
+    missing type 1 (memory-aware already at construction, since
+    metapath2vec is first-order)."""
+    g1 = small_graph(n_types=1)
+    model = make_model("metapath2vec")
+    with pytest.raises(ValueError):
+        s = make_sampler(sname, g1, model, np.random.default_rng(0))
+        s.prepare()
+        simulate_walks(g1, model, np.arange(10), 5, s, s.rng)
+
+
 def _assert_valid(g, walks):
     lens = walk_lengths(walks)
     for row, ln in zip(walks, lens):

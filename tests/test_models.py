@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.abstraction import node2vec_alpha
 from repro.core.theory import exact_transition
+from repro.graph.csr import from_edges
 from repro.models import MODEL_INFO, make_model
 from repro.models.edge2vec import default_transition_matrix
+from repro.samplers.segment import neighbor_dyn_weights, ragged_arange
 
 from tests.util import good_state, small_graph, state_batch
 
@@ -83,7 +85,7 @@ def test_node2vec_return_bias(g):
 def test_node2vec_states_and_bound(g):
     m = make_model("node2vec", p=0.25, q=4)
     assert m.num_states(g) == g.m
-    assert m.alpha_bound() == 4.0
+    assert m.weight_bound(g) == 4.0
     v, prev = good_state(g)
     wk = state_batch(g, v, prev, k=2)
     assert (m.state_index(g, wk) == wk.prev_eidx).all()
@@ -229,7 +231,7 @@ def test_fairwalk_group_mass_uniform_on_unweighted():
 def test_fairwalk_states(g):
     m = make_model("fairwalk")
     assert m.num_states(g) == g.m
-    assert m.alpha_bound() == 1.0
+    assert m.weight_bound(g) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +243,62 @@ def test_registry_builds_all(name, g):
     assert m.name == name
     assert m.order == MODEL_INFO[name]["order"]
     assert m.num_states(g) > 0
+
+
+# ----------------------------------------------------------------------
+# The model contract: each model owns its state space and weight bound
+# ----------------------------------------------------------------------
+CONTRACT_MODELS = [
+    ("deepwalk", {}),
+    ("node2vec", dict(p=0.25, q=4.0)),
+    ("node2vec", dict(p=4.0, q=0.25)),
+    ("metapath2vec", dict(metapath=[0, 1, 2, 0])),
+    ("edge2vec", dict(p=0.5, q=2.0)),
+    ("fairwalk", dict(p=0.25, q=1.0)),
+]
+
+
+@pytest.mark.parametrize("name,kw", CONTRACT_MODELS)
+def test_states_enumerate_the_state_space_in_index_order(g, name, kw):
+    m = make_model(name, **kw)
+    states = m.states(g)
+    np.testing.assert_array_equal(
+        m.state_index(g, states), np.arange(m.num_states(g))
+    )
+    if m.order == 2:
+        # Edge-source order: has_edge's marker path applies.
+        assert (np.diff(states.prev) >= 0).all()
+
+
+@pytest.mark.parametrize("name,kw", CONTRACT_MODELS)
+def test_weight_bound_covers_every_state_and_candidate(g, name, kw):
+    m = make_model(name, **kw)
+    states = m.states(g)
+    w_dyn, lens = neighbor_dyn_weights(g, m, states)
+    cand_eidx = np.repeat(g.indptr[states.cur], lens) + ragged_arange(lens)
+    assert (w_dyn <= m.weight_bound(g) * g.weights[cand_eidx]).all()
+
+
+@pytest.mark.parametrize("metapath", [[0, 1, 0], [3, 0, 3], [0, -1, 0]])
+def test_metapath_missing_type_raises(metapath):
+    """A one-type graph has no type 1, 3 or -1: every entry point that
+    would index by the missing type names it instead."""
+    g1 = from_edges(np.array([0, 1]), np.array([1, 2]), n=3)
+    m = make_model("metapath2vec", metapath=metapath)
+    calls = [
+        lambda: m.start_nodes(g1),
+        lambda: m.required_type(g1, 1, np.zeros(2, dtype=np.int16)),
+        lambda: m.num_states(g1),
+        lambda: m.states(g1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="missing"):
+            call()
+
+
+def test_metapath_empty_raises():
+    with pytest.raises(ValueError):
+        make_model("metapath2vec", metapath=[])
 
 
 def test_registry_unknown():
