@@ -28,13 +28,13 @@ from repro.walks.engine import count_walk_tokens, generate_walks
 
 PQ_GRID = [(1, 0.25), (0.25, 1), (1, 1), (1, 4), (4, 1)]
 SAMPLERS = [
-    ("Alias", "alias", {}),
-    ("Rejection", "rejection", {}),
-    ("KnightKing", "knightking", {}),
-    ("Memory-Aware", "memory_aware", {}),
-    ("UniNet(Rand)", "mh-random", {}),
-    ("UniNet(Burn)", "mh-burn", {}),
-    ("UniNet(Weight)", "mh-weight", {}),
+    ("Alias", "alias"),
+    ("Rejection", "rejection"),
+    ("KnightKing", "knightking"),
+    ("Memory-Aware", "memory_aware"),
+    ("UniNet(Rand)", "mh-random"),
+    ("UniNet(Burn)", "mh-burn"),
+    ("UniNet(Weight)", "mh-weight"),
 ]
 
 #: Paper Table VII (seconds; '*' = OOM) for EXPERIMENTS.md diffs.
@@ -60,13 +60,13 @@ PAPER = {
 }
 
 
-def run_cell(spark, ds: str, label: str, sampler: str, kw: dict,
-             p: float, q: float, num_walks: int, walk_length: int = 80):
+def run_cell(spark, ds: str, sampler: str, p: float, q: float,
+             num_walks: int, walk_length: int = 80):
     g = load(ds)
     spec = DATASETS[ds]
     model = make_model("node2vec", p=p, q=q)
     budget = paper_budget(spec, g)
-    s = make_sampler(sampler, g, model, np.random.default_rng(5), budget, **kw)
+    s = make_sampler(sampler, g, model, np.random.default_rng(5), budget)
     try:
         with Timer() as t:
             s.prepare()
@@ -93,10 +93,10 @@ def main(spark=None):
     results = {}
     for ds in datasets:
         rows = []
-        for label, sampler, kw in SAMPLERS:
+        for label, sampler in SAMPLERS:
             cells = []
             for p, q in PQ_GRID:
-                v = run_cell(spark, ds, label, sampler, kw, p, q, num_walks)
+                v = run_cell(spark, ds, sampler, p, q, num_walks)
                 cells.append(v)
                 print(f"  {ds} {label} (p={p},q={q}): {v}", flush=True)
             paper_cells = PAPER.get(ds, {}).get(label, ["-"] * 5)

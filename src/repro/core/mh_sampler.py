@@ -56,20 +56,17 @@ class MHSampler(EdgeSampler):
         self.init = init
         self.burn_in = int(burn_in)
         self.hw_samples = int(hw_samples)
-        self.manager: Optional[SamplerManager] = None
 
     # ------------------------------------------------------------------
     def prepare(self) -> None:
         """Allocate the LAST_x store (the paper's M-H ``T_i``)."""
         self.manager = SamplerManager(self.model.num_states(self.g), self.budget)
-        self._prepared = True
 
     def task_copy(self) -> "MHSampler":
         """A copy with an empty ``LAST_x`` store. The store was charged
         to the memory ledger once, by :meth:`prepare`."""
         c = super().task_copy()
-        if self.manager is not None:
-            c.manager = SamplerManager(self.manager.num_states)
+        c.manager = SamplerManager(self.manager.num_states)
         return c
 
     # ------------------------------------------------------------------
@@ -170,8 +167,6 @@ class MHSampler(EdgeSampler):
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         """Algorithm 1, batched: one M-H draw per walker; returns the
         chosen global edge slot (the state's updated LAST_x)."""
-        if self.manager is None:
-            self.prepare()
         g = self.g
         state = self.model.state_index(g, wk)
         need = self.manager.uninitialized(state)

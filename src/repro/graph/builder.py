@@ -1,14 +1,13 @@
-"""Spark-SQL graph cleaning → frozen CSR.
+"""Spark-SQL graph cleaning and Table V statistics.
 
-The dataflow half of the graph substrate: raw edge DataFrames are
-cleaned (self-loop removal, duplicate collapse, symmetrization) and
-summarized with Catalyst aggregations — all checked against the DuckDB
-oracle in tests — before being frozen into the broadcastable
-:class:`~repro.graph.csr.CSRGraph` used by the samplers.
+The dataflow half of the graph substrate. ``datasets.load`` builds every
+:class:`~repro.graph.csr.CSRGraph` with numpy (``csr.from_edges``);
+here :func:`edges_df` turns a CSR back into a Spark edge table, and
+Catalyst aggregations clean raw edges (self-loop removal, duplicate
+collapse, symmetrization) and summarize them for Table V, all checked
+against the DuckDB oracle in tests.
 """
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -59,32 +58,4 @@ def summary_stats(edges: DataFrame) -> DataFrame:
         F.count("*").alias("n_nodes"),
         F.sum("degree").alias("n_directed_edges"),
         F.round(F.avg("degree"), 2).alias("mean_degree"),
-    )
-
-
-def build_csr(
-    edges: DataFrame,
-    n: Optional[int] = None,
-    node_type: Optional[np.ndarray] = None,
-    node_attr: Optional[np.ndarray] = None,
-) -> csr.CSRGraph:
-    """Clean ``edges`` with Spark SQL and freeze to a CSRGraph.
-
-    The collect at the end is the documented dataflow→numpy boundary
-    (DESIGN.md §2): the cleaned graph fits on the driver at our scale
-    factors and is then broadcast read-only to executors.
-    """
-    pdf = (
-        clean_edges(edges)
-        .orderBy("src", "dst")
-        .toPandas()
-    )
-    src = pdf["src"].to_numpy(np.int64)
-    dst = pdf["dst"].to_numpy(np.int64)
-    w = pdf["weight"].to_numpy(np.float64)
-    if n is None:
-        n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-    # clean_edges already symmetrized/deduped; from_edges re-validates.
-    return csr.from_edges(
-        src, dst, w, n=n, node_type=node_type, node_attr=node_attr, symmetrize=False
     )

@@ -188,11 +188,8 @@ class TableSampler(EdgeSampler):
         # paper's OOM cells), then the real-allocation guardrail.
         self.budget.charge("alias_tables", BYTES_TABLE_ENTRY * int(lens.sum()))
         self._tables = build_tables(g, model, states, lens, "alias")
-        self._prepared = True
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
-        if not self._prepared:
-            self.prepare()
         g = self.g
         eidx = sample_tables(
             self._tables, self.model.state_index(g, wk),

@@ -73,11 +73,10 @@ class EdgeSampler:
         self.rng = rng
         self.budget = budget if budget is not None else MemoryBudget(None)
         self.stats: Dict[str, float] = {"proposals": 0, "accepts": 0}
-        self._prepared = False
 
     def prepare(self) -> None:
-        """Upfront initialization (tables, state allocation)."""
-        self._prepared = True
+        """Upfront initialization (tables, state allocation); must run
+        before the first :meth:`sample`."""
 
     def task_copy(self) -> "EdgeSampler":
         """Copy for one walk-generation task. It shares the graph and
@@ -118,7 +117,6 @@ class StaticSampler(EdgeSampler):
 
     def prepare(self) -> None:
         self.wcum = self.g.weight_prefix()
-        self._prepared = True
 
     def sample_nodes(self, cur: np.ndarray) -> np.ndarray:
         """One neighbor edge slot per node in ``cur`` ∝ static w; -1 if it has none."""

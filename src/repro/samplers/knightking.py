@@ -2,9 +2,11 @@
 
 KnightKing's defining behaviours reproduced here (DESIGN.md §3):
 
-* **first-order models**: exact alias sampling of the static
-  distribution (O(1) draw, alias memory charge) — with a type-rejection
-  wrapper for metapath2vec;
+* **one rejection test for every model**, drawing its proposals from
+  the static distribution by alias (O(1) draw, alias memory charge).
+  For deepwalk the accept probability ``w / (1·w)`` is 1, so a draw is
+  an exact static alias draw; for metapath2vec it is 1 or 0 by the
+  candidate's type, a type-rejection wrapper around that draw;
 * **node2vec**: rejection sampling with **outlier folding** of the
   single 1/p "return" edge. The target ``α·w`` is decomposed exactly as
   ``min(α, b)·w + excess·δ_prev`` with ``b = max(1, 1/q)``: the excess
@@ -19,54 +21,20 @@ KnightKing's defining behaviours reproduced here (DESIGN.md §3):
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.core.abstraction import RandomWalkModel, WalkerBatch, node2vec_alpha
-from repro.graph.csr import CSRGraph
+from repro.core.abstraction import WalkerBatch, node2vec_alpha
 from repro.models.node2vec import Node2Vec
-from repro.samplers.base import MemoryBudget
 from repro.samplers.rejection import RejectionSampler, rejection_rounds
 
 
 class KnightKingSampler(RejectionSampler):
     """Inherits rejection's alias-charged proposal draw, its ``prepare``
-    and, for edge2vec / fairwalk, its ``sample``."""
+    and, for every model but node2vec, its ``sample``."""
 
     name = "knightking"
-    # Proposal / first-order draws are alias-backed in KnightKing.
+    # Proposal draws are alias-backed in KnightKing.
     ledger_item = "knightking_alias"
-
-    def __init__(
-        self,
-        g: CSRGraph,
-        model: RandomWalkModel,
-        rng: np.random.Generator,
-        budget: Optional[MemoryBudget] = None,
-    ):
-        super().__init__(g, model, rng, budget)
-        if isinstance(model, Node2Vec):
-            self._mode = "fold"
-        elif model.order == 2:
-            self._mode = "reject"
-        else:
-            self._mode = "first_order"
-
-    # ------------------------------------------------------------------
-    def _sample_first_order(self, wk: WalkerBatch) -> np.ndarray:
-        g = self.g
-        if wk.req_type is None:
-            eidx = self.sample_nodes(wk.cur)
-            self.stats["proposals"] += len(wk)
-            self.stats["accepts"] += len(wk)
-            return eidx
-        # Metapath: alias draw + reject wrong-typed candidates.
-        def step(sub: WalkerBatch, pending: np.ndarray):
-            eidx = self.sample_nodes(sub.cur)
-            return eidx, g.node_type[g.indices[eidx]] == sub.req_type
-
-        return rejection_rounds(self.stats, wk, step)
 
     def _sample_node2vec_folded(self, wk: WalkerBatch) -> np.ndarray:
         g = self.g
@@ -97,12 +65,7 @@ class KnightKingSampler(RejectionSampler):
 
         return rejection_rounds(self.stats, wk, step)
 
-    # ------------------------------------------------------------------
     def sample(self, wk: WalkerBatch) -> np.ndarray:
-        if self._mode == "reject":
-            return super().sample(wk)
-        if not self._prepared:
-            self.prepare()
-        if self._mode == "first_order":
-            return self._sample_first_order(wk)
-        return self._sample_node2vec_folded(wk)
+        if isinstance(self.model, Node2Vec):
+            return self._sample_node2vec_folded(wk)
+        return super().sample(wk)

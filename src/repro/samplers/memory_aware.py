@@ -63,18 +63,15 @@ class MemoryAwareSampler(EdgeSampler):
         assigned = order[:k]
         self.budget.charge("memory_aware_tables", float(cum[k - 1]) if k else 0.0)
 
-        self._table_id = np.full(g.m, -1, dtype=np.int64)
-        self._table_id[assigned] = np.arange(k)
         self._tables = build_tables(
             g, model, states.take(assigned), lens_all[assigned], "memory-aware"
         )
+        self._table_id = np.full(g.m, -1, dtype=np.int64)
+        self._table_id[assigned] = np.arange(k)
         self.assigned_states = k
-        self._prepared = True
 
     # ------------------------------------------------------------------
     def sample(self, wk: WalkerBatch) -> np.ndarray:
-        if not self._prepared:
-            self.prepare()
         state = self.model.state_index(self.g, wk)
         tid = self._table_id[state]
         hit = tid >= 0

@@ -71,8 +71,6 @@ class RejectionSampler(StaticSampler):
         super().prepare()
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
-        if not self._prepared:
-            self.prepare()
         g = self.g
 
         def step(sub: WalkerBatch, pending: np.ndarray):

@@ -11,8 +11,6 @@ distributions, high-degree hubs). Every generator is deterministic in
 ``seed``.
 """
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -56,28 +54,6 @@ def node_types(*, n: int, n_types: int, seed: int = 0) -> np.ndarray:
     p = (np.arange(1, n_types + 1, dtype=np.float64)) ** (-0.5)
     p /= p.sum()
     return g.choice(n_types, size=n, p=p).astype(np.int16)
-
-
-def graph_edges(
-    spark: SparkSession,
-    *,
-    n: int,
-    avg_degree: float,
-    beta: float = 0.6,
-    seed: int = 0,
-    weighted: bool = False,
-) -> DataFrame:
-    """A Chung–Lu edge list as a Spark DataFrame ``(src, dst, weight)``.
-
-    This is the dataflow entry point: :func:`repro.graph.builder.build_csr`
-    cleans / symmetrizes it with Spark SQL before freezing to CSR.
-    """
-    src, dst, w = chung_lu_edges(
-        n=n, avg_degree=avg_degree, beta=beta, seed=seed, weighted=weighted
-    )
-    return spark.createDataFrame(
-        pd.DataFrame({"src": src, "dst": dst, "weight": w})
-    )
 
 
 def planted_partition_edges(

@@ -25,7 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.abstraction import RandomWalkModel
 from repro.graph.csr import CSRGraph
 from repro.samplers import make_sampler
-from repro.samplers.base import EdgeSampler, MemoryBudget
+from repro.samplers.base import EdgeSampler
 from repro.walks.kernel import simulate_walks, walks_to_lists
 
 WALKS_SCHEMA = "walk_id long, start long, walk array<long>"
@@ -50,7 +50,6 @@ def generate_walks(
     num_walks: int = 10,
     walk_length: int = 80,
     sampler: str = "mh",
-    budget: Optional[MemoryBudget] = None,
     seed: int = 0,
     num_partitions: Optional[int] = None,
     prepared: Optional[EdgeSampler] = None,
@@ -70,7 +69,7 @@ def generate_walks(
 
     if prepared is None:
         rng0 = np.random.default_rng(seed)
-        prepared = make_sampler(sampler, g, model, rng0, budget)
+        prepared = make_sampler(sampler, g, model, rng0)
         prepared.prepare()
     bc = sc.broadcast((g, model, prepared, starts))
 

@@ -31,8 +31,7 @@ def simulate_walks(
     """Run one walk of ``walk_length`` steps from each start node.
 
     Returns ``int64[k, walk_length + 1]`` node ids, ``-1``-padded after
-    early termination. ``sampler`` must be prepared (or it will prepare
-    lazily on first use).
+    early termination. ``sampler`` must be prepared.
     """
     starts = np.asarray(starts, dtype=np.int64)
     k = starts.shape[0]

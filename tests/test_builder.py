@@ -1,13 +1,14 @@
-"""Spark-SQL graph builder vs the DuckDB oracle and the numpy CSR."""
-import numpy as np
+"""Spark-SQL graph cleaning and statistics vs the DuckDB oracle and
+the numpy CSR."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.builder import build_csr, clean_edges, degree_stats, summary_stats
-from repro.graph.csr import from_edges
+from repro.graph.builder import clean_edges, degree_stats, edges_df, summary_stats
 from repro.oracle import assert_equivalent
-from repro.synth_data import chung_lu_edges, graph_edges
+from repro.synth_data import chung_lu_edges
+
+from tests.util import small_graph
 
 CLEAN_SQL = """
     WITH base AS (
@@ -59,22 +60,6 @@ def test_summary_stats_oracle(spark, raw_df, raw_pdf):
     assert_equivalent(got, sql, raw=raw_pdf)
 
 
-def test_build_csr_equals_numpy_path(spark, raw_pdf):
-    """The Spark-cleaned CSR must equal from_edges on the same input."""
-    df = spark.createDataFrame(raw_pdf)
-    g_spark = build_csr(df, n=150)
-    g_np = from_edges(
-        raw_pdf["src"].to_numpy(),
-        raw_pdf["dst"].to_numpy(),
-        raw_pdf["weight"].to_numpy(),
-        n=150,
-    )
-    assert g_spark.n == g_np.n and g_spark.m == g_np.m
-    np.testing.assert_array_equal(g_spark.indptr, g_np.indptr)
-    np.testing.assert_array_equal(g_spark.indices, g_np.indices)
-    np.testing.assert_allclose(g_spark.weights, g_np.weights)
-
-
 def test_clean_edges_no_self_loops_and_symmetric(spark, raw_df):
     cleaned = clean_edges(raw_df)
     assert cleaned.where(F.col("src") == F.col("dst")).count() == 0
@@ -90,9 +75,18 @@ def test_clean_edges_null_weight_defaults_one(spark):
     assert w01 == 1.0
 
 
-def test_build_csr_from_generator(spark):
-    df = graph_edges(spark, n=80, avg_degree=6, seed=1, weighted=True)
-    g = build_csr(df, n=80)
-    assert g.n == 80 and g.m > 0
-    # symmetric
-    assert g.has_edge(g.indices.astype(np.int64), g.src).all()
+def test_edges_df_roundtrip(spark):
+    g = small_graph(n=80, avg_degree=8, seed=5)
+    df = edges_df(spark, g)
+    assert df.count() == g.m
+    # Degree per node matches the CSR (Spark aggregation vs numpy),
+    # and the aggregation itself matches DuckDB.
+    deg_df = df.groupBy("src").agg(F.count("*").alias("degree"))
+    pdf = df.toPandas()
+    assert_equivalent(
+        deg_df, "SELECT src, count(*) AS degree FROM e GROUP BY src", e=pdf
+    )
+    got = deg_df.toPandas().set_index("src")["degree"]
+    for v in range(g.n):
+        if g.degrees[v]:
+            assert got[v] == g.degrees[v]

@@ -64,14 +64,12 @@ def test_table6_paper_numbers_recorded():
 
 
 def test_table7_cell_mh(spark):
-    v = t7.run_cell(spark, "acm_lite", "UniNet(Weight)", "mh-weight", {},
-                    1.0, 1.0, 1, walk_length=5)
+    v = t7.run_cell(spark, "acm_lite", "mh-weight", 1.0, 1.0, 1, walk_length=5)
     assert isinstance(v, float) and v > 0
 
 
 def test_table7_cell_oom(spark):
-    v = t7.run_cell(spark, "webuk_sim", "Rejection", "rejection", {},
-                    1.0, 1.0, 1, walk_length=2)
+    v = t7.run_cell(spark, "webuk_sim", "rejection", 1.0, 1.0, 1, walk_length=2)
     assert v == "*"
 
 

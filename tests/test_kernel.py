@@ -164,7 +164,6 @@ def test_walks_match_bruteforce_edge_index(g, monkeypatch, mname, sname):
 def _parent_static_prepare(self):
     """``StaticSampler.prepare`` rebuilding the prefix on every call."""
     self.wcum = np.concatenate([[0.0], np.cumsum(self.g.weights, dtype=np.float64)])
-    self._prepared = True
 
 
 @pytest.mark.parametrize("sname", SAMPLER_NAMES)

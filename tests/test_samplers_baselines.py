@@ -327,7 +327,7 @@ def test_table_build_stress_more_threads_than_cpus(g, monkeypatch):
 @pytest.mark.parametrize("sname", ["alias", "memory_aware"])
 def test_table_build_chunk_failure_propagates(g, monkeypatch, sname):
     """A chunk whose ``dyn_weight`` raises fails ``prepare()``, and the
-    sampler stays unprepared."""
+    sampler still cannot draw."""
     _chunk_37(monkeypatch, 3)
     model = make_model("node2vec")
     bad_state = int(np.argmax(g.degree(g.indices)))
@@ -344,7 +344,8 @@ def test_table_build_chunk_failure_propagates(g, monkeypatch, sname):
                      **({"table_budget_bytes": 1e12} if sname == "memory_aware" else {}))
     with pytest.raises(RuntimeError, match="chunk failed"):
         s.prepare()
-    assert not s._prepared
+    with pytest.raises(AttributeError):
+        s.sample(_edge_states(g, 10, 0))
 
 
 def _table_sampler(sname, g, model):
@@ -574,6 +575,18 @@ def test_knightking_first_order_is_exact_static(g):
 def test_sampler_registry_unknown(g):
     with pytest.raises(KeyError):
         make_sampler("bogus", g, make_model("deepwalk"), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sname", [n for n in SAMPLER_NAMES if n != "direct"])
+def test_unprepared_sampler_cannot_draw(g, sname):
+    """``prepare()`` is the one way to a sampler's tables and state
+    (``T_i``): a draw before it raises and charges nothing."""
+    budget = MemoryBudget(None)
+    s = make_sampler(sname, g, make_model("node2vec", p=0.25, q=4.0),
+                     np.random.default_rng(0), budget)
+    with pytest.raises(AttributeError):
+        s.sample(_edge_states(g, 10, 0))
+    assert budget.ledger == {}
 
 
 ISOLATION = [

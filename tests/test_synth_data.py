@@ -65,10 +65,3 @@ def test_planted_partition_low_pin_is_random():
     )
     same = (labels[src] == labels[dst]).mean()
     assert same < 0.4  # ~1/4 by chance
-
-
-def test_graph_edges_dataframe(spark):
-    df = synth_data.graph_edges(spark, n=100, avg_degree=6, seed=2)
-    assert set(df.columns) == {"src", "dst", "weight"}
-    assert df.count() == 300
-
