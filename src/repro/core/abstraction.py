@@ -94,9 +94,12 @@ class RandomWalkModel:
     def num_states(self, g: CSRGraph) -> int:
         return g.n
 
-    def states(self, g: CSRGraph) -> WalkerBatch:
-        """One walker per state, in :meth:`state_index` order."""
-        cur = np.arange(g.n, dtype=np.int64)
+    def states(
+        self, g: CSRGraph, lo: int = 0, hi: Optional[int] = None
+    ) -> WalkerBatch:
+        """One walker per state ``lo..hi-1`` (default: every state), in
+        :meth:`state_index` order: walker ``i`` holds state ``lo + i``."""
+        cur = np.arange(lo, g.n if hi is None else hi, dtype=np.int64)
         none = np.full_like(cur, -1)
         return WalkerBatch(cur=cur, prev=none, prev_eidx=none)
 
@@ -134,15 +137,19 @@ class SecondOrderModel(RandomWalkModel):
     def num_states(self, g: CSRGraph) -> int:
         return g.m
 
-    def states(self, g: CSRGraph) -> WalkerBatch:
-        """One walker per directed edge (s -> v), in edge-source order:
-        membership queries of :func:`node2vec_alpha` over these states
-        arrive with non-decreasing ``prev`` and take ``has_edge``'s O(1)
-        marker path."""
+    def states(
+        self, g: CSRGraph, lo: int = 0, hi: Optional[int] = None
+    ) -> WalkerBatch:
+        """One walker per directed edge (s -> v) ``lo..hi-1``, in
+        edge-source order: membership queries of :func:`node2vec_alpha`
+        over these states arrive with non-decreasing ``prev`` and take
+        ``has_edge``'s O(1) marker path. Built from slices of the CSR
+        arrays, so a range of states costs only its own length."""
+        hi = g.m if hi is None else hi
         return WalkerBatch(
-            cur=g.indices.astype(np.int64),
-            prev=g.src,
-            prev_eidx=np.arange(g.m, dtype=np.int64),
+            cur=g.indices[lo:hi].astype(np.int64),
+            prev=g.src[lo:hi],
+            prev_eidx=np.arange(lo, hi, dtype=np.int64),
         )
 
     def weight_bound(self, g: CSRGraph) -> float:

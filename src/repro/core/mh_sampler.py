@@ -7,8 +7,8 @@ node's neighbor slots with a **uniform** proposal ``q(·|u) = 1/deg(v)``
 edge weight as target. Time and memory are O(1) per sample — only the
 ``LAST_x`` slot is stored, in the :class:`SamplerManager` 2D layout.
 
-Initialization strategies (§III-C), applied lazily the first time a
-state is touched:
+Initialization strategies (§III-C), applied by :meth:`MHSampler.prepare`
+to every state a walk can leave (Table VI's M-H ``T_i``):
 
 * ``random`` — uniform neighbor slot, O(1);
 * ``weight`` (high-weight) — approximate argmax of the dynamic weight
@@ -16,6 +16,18 @@ state is touched:
   high-weight initialization);
 * ``burn`` — classical burn-in: run ``burn_in`` M-H iterations and
   discard them (paper uses 100 after tuning).
+
+``prepare()`` runs the initialization over the model's states
+(``RandomWalkModel.states``) in fixed chunks of states on the shared
+thread pool (:mod:`repro.samplers.pool`), as UniNet's
+threads initialize one shared ``LAST_x`` array. Chunk ``a`` draws from
+its own stream, seeded by (one seed drawn from the sampler's ``rng``,
+``a``), so the store is bit-identical for any thread count. States the
+model calls stuck (``RandomWalkModel.stuck``: an isolated node, a
+metapath state with no neighbor of the required type) keep ``-1``, and
+:meth:`MHSampler.sample` returns ``-1`` for them. The engine ships the
+initialized store in its broadcast, and each task evolves the chains
+of its own copy (:meth:`MHSampler.task_copy`).
 
 Everything is vectorized over the walker batch.
 """
@@ -28,11 +40,19 @@ import numpy as np
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.core.sampler_manager import SamplerManager
 from repro.graph.csr import CSRGraph
+from repro.samplers import pool
 from repro.samplers.base import EdgeSampler, MemoryBudget
 from repro.samplers.segment import neighbor_dyn_weights, segmented_argmax
 
 _INIT_STRATEGIES = ("random", "weight", "burn")
 _RETRY_ROUNDS = 6  # uniform redraws before _retry_invalid's exact scan
+#: (state, candidate) entries per initialization chunk: a chunk holds
+#: ``_INIT_CHUNK_ENTRIES // hw_samples`` states for high-weight init,
+#: else this many. The chunk bounds fix the random streams, so they
+#: depend on the strategy, never on the thread count. Chunks much
+#: smaller than this spend their time queueing for the GIL between
+#: numpy calls, and the pool runs slower than one thread.
+_INIT_CHUNK_ENTRIES = 1 << 16
 
 
 class MHSampler(EdgeSampler):
@@ -59,14 +79,39 @@ class MHSampler(EdgeSampler):
 
     # ------------------------------------------------------------------
     def prepare(self) -> None:
-        """Allocate the LAST_x store (the paper's M-H ``T_i``)."""
-        self.manager = SamplerManager(self.model.num_states(self.g), self.budget)
+        """Allocate the LAST_x store and initialize every state a walk
+        can leave (the paper's M-H ``T_i``; see the module docstring).
+
+        Each chunk runs on a shallow copy with its own stream and
+        ``stats``: it writes its own states' slots of the shared store,
+        and its burn-in proposals count in no ``stats``."""
+        g, model = self.g, self.model
+        self.manager = SamplerManager(model.num_states(g), self.budget)
+        seed = int(self.rng.integers(1 << 63))
+
+        def init_chunk(a: int, b: int) -> None:
+            c = EdgeSampler.task_copy(self)
+            c.reseed(np.random.default_rng((seed, a)))
+            # Descending state order: node2vec's membership queries then
+            # take edge_index's batch search, not a (rows x n) marker
+            # array per pool thread (CSRGraph.has_edge).
+            wk = model.states(g, a, b).take(slice(None, None, -1))
+            state = np.arange(b - 1, a - 1, -1, dtype=np.int64)
+            live = ~model.stuck(g, wk)
+            c._initialize(wk.take(live), state[live])
+
+        per_state = self.hw_samples if self.init == "weight" else 1
+        chunk = max(1, _INIT_CHUNK_ENTRIES // per_state)
+        pool.run_chunks(init_chunk, self.manager.num_states, chunk, per_state,
+                        name="mh-init")
 
     def task_copy(self) -> "MHSampler":
-        """A copy with an empty ``LAST_x`` store. The store was charged
-        to the memory ledger once, by :meth:`prepare`."""
+        """A copy with a private copy of the initialized ``LAST_x``
+        store, so each task evolves its own chains from the same start.
+        The store was charged to the memory ledger once, by
+        :meth:`prepare`."""
         c = super().task_copy()
-        c.manager = SamplerManager(self.manager.num_states)
+        c.manager = self.manager.copy()
         return c
 
     # ------------------------------------------------------------------
@@ -74,7 +119,7 @@ class MHSampler(EdgeSampler):
         self, w_cand: np.ndarray, w_last: np.ndarray, u: np.ndarray
     ) -> np.ndarray:
         """Vectorized acceptance: ``u < min(1, w_cand / w_last)``; a
-        last sample with zero weight (possible only via random init on
+        last sample with zero weight (the burn-in's uniform start on
         constrained models) is always replaced by a valid candidate."""
         ratio = np.where(w_last > 0.0, w_cand / np.maximum(w_last, 1e-300), 0.0)
         return np.where(w_last > 0.0, u < ratio, w_cand > 0.0)
@@ -138,7 +183,8 @@ class MHSampler(EdgeSampler):
 
     # ------------------------------------------------------------------
     def _initialize(self, wk: WalkerBatch, state: np.ndarray) -> None:
-        """Lazily initialize first-touch states for the walkers ``wk``."""
+        """Initialize the LAST_x slots ``state`` of the walkers ``wk``,
+        none of them stuck, by the sampler's strategy."""
         g = self.g
         deg = g.degree(wk.cur)
         start = g.indptr[wk.cur]
@@ -156,23 +202,19 @@ class MHSampler(EdgeSampler):
         else:
             slot = self._uniform_slot(deg)
             w = self.model.dyn_weight(g, wk, start + slot)
-            if self.init == "random":
-                slot = self._retry_invalid(wk, slot, w)
-            else:  # burn-in
+            if self.init == "burn":
                 for _ in range(self.burn_in):
                     slot, w = self._mh_iterate(wk, slot, w)
+            slot = self._retry_invalid(wk, slot, w)
         self.manager.set(state, slot)
 
     # ------------------------------------------------------------------
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         """Algorithm 1, batched: one M-H draw per walker; returns the
-        chosen global edge slot (the state's updated LAST_x)."""
+        chosen global edge slot (the state's updated LAST_x), ``-1``
+        for a state :meth:`prepare` left uninitialized (stuck)."""
         g = self.g
         state = self.model.state_index(g, wk)
-        need = self.manager.uninitialized(state)
-        if need.any():
-            self._initialize(wk.take(need), state[need])
-
         start = g.indptr[wk.cur]
         last = self.manager.get(state).astype(np.int64)
         cand = self._uniform_slot(g.degree(wk.cur))
@@ -181,5 +223,6 @@ class MHSampler(EdgeSampler):
         pairs = np.repeat(start, 2) + np.column_stack([last, cand]).ravel()
         w = self.model.dyn_weight(g, wk.repeat(2), pairs).reshape(-1, 2)
         new_slot, _ = self._transition(last, w[:, 0], cand, w[:, 1])
+        new_slot[last < 0] = -1
         self.manager.set(state, new_slot)
-        return start + new_slot
+        return np.where(new_slot >= 0, start + new_slot, -1)

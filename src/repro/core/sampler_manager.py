@@ -14,19 +14,28 @@ Fig. 4.
 """
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.samplers.base import BYTES_MH_STATE, MemoryBudget
 
 
 class SamplerManager:
-    """Flat ``LAST_x`` store; ``-1`` marks an uninitialized sampler."""
+    """Flat ``LAST_x`` store; ``-1`` marks an uninitialized sampler
+    (after ``MHSampler.prepare()``, a stuck state)."""
 
     def __init__(self, num_states: int, budget: MemoryBudget | None = None):
         self.num_states = int(num_states)
         if budget is not None:
             budget.charge("mh_last_states", BYTES_MH_STATE * self.num_states)
         self.last_slot = np.full(self.num_states, -1, dtype=np.int32)
+
+    def copy(self) -> "SamplerManager":
+        """A private copy of the store, charged to no ledger."""
+        c = copy.copy(self)
+        c.last_slot = self.last_slot.copy()
+        return c
 
     def get(self, state: np.ndarray) -> np.ndarray:
         return self.last_slot[state]

@@ -7,7 +7,7 @@ is ``(T, v)`` where ``T`` is the next required type — #states =
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -52,10 +52,13 @@ class MetaPath2Vec(RandomWalkModel):
     def num_states(self, g: CSRGraph) -> int:
         return g.n * self._n_types(g)
 
-    def states(self, g: CSRGraph) -> WalkerBatch:
-        """One walker per (node, required type), in state-index order."""
+    def states(
+        self, g: CSRGraph, lo: int = 0, hi: Optional[int] = None
+    ) -> WalkerBatch:
+        """One walker per (node, required type) state ``lo..hi-1``, in
+        state-index order."""
         T = self._n_types(g)
-        states = np.arange(g.n * T, dtype=np.int64)
+        states = np.arange(lo, g.n * T if hi is None else hi, dtype=np.int64)
         none = np.full_like(states, -1)
         return WalkerBatch(
             cur=states // T, prev=none, prev_eidx=none,

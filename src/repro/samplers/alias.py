@@ -16,13 +16,14 @@ characteristics (huge ``T_i``, O(d·#state) memory,
 parameter-insensitive sampling) are preserved. This module owns the
 table format, :class:`Tables`. :func:`build_tables` streams the
 construction on every CPU the process may run on, as UniNet's threads
-do (paper §IV-A): a thread pool evaluates the dynamic weights of chunks
-of (state, candidate) entries straight into disjoint slices of the
-preallocated table, at most ``_CHUNK_ENTRIES`` entries in flight across
-all threads. The tables leave the build, and travel in the engine's
-broadcast, as those per-entry weights: a float64 running sum's
-mantissas do not compress, while the weights of a model like node2vec
-take a handful of distinct values and compress well. The first draw in
+do (paper §IV-A): the shared pool of :mod:`repro.samplers.pool`
+evaluates the dynamic weights of chunks of (state, candidate) entries
+straight into disjoint slices of the preallocated table, at most
+``pool.MAX_IN_FLIGHT`` entries in flight across all threads. The tables
+leave the build, and travel in the engine's broadcast, as those
+per-entry weights: a float64 running sum's mantissas do not compress,
+while the weights of a model like node2vec take a handful of distinct
+values and compress well. The first draw in
 each process (:func:`sample_tables`) turns them, in place and once,
 into the running sum with one sequential ``cumsum``; so alias ``T_i``
 excludes the prefix sum, which Table VI counts in ``T_w``, once per
@@ -38,14 +39,13 @@ functions.
 """
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
+from repro.samplers import pool
 from repro.samplers.base import (
     BYTES_TABLE_ENTRY,
     EdgeSampler,
@@ -53,17 +53,6 @@ from repro.samplers.base import (
     REAL_ENTRY_CAP,
 )
 from repro.samplers.segment import window_choice
-
-#: (state, candidate) entries whose dynamic weights the threads of
-#: :func:`build_tables` evaluate at once, split evenly between them: each
-#: kind of walker, candidate and weight temporary stays within 2 MB in
-#: total, whatever the thread count.
-_CHUNK_ENTRIES = 1 << 18
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: the thread count of :func:`build_tables`."""
-    return len(os.sched_getaffinity(0))
 
 
 class Tables:
@@ -116,11 +105,12 @@ def build_tables(
 
     Raises :class:`MemoryBudgetExceeded` before any allocation when the
     tables need more than ``REAL_ENTRY_CAP`` entries. One thread per CPU
-    fills chunks of ``_CHUNK_ENTRIES // threads`` entries (a chunk may
-    cut a state), each writing its weights into its own slice of
-    ``buf[1:]``; the first exception of a chunk propagates. Once summed
-    by :meth:`Tables.cum`, ``buf`` is bit-identical to
-    ``concatenate([[0], cumsum(w)])`` over the whole weight vector.
+    fills chunks of ``pool.MAX_IN_FLIGHT // CPUs`` entries (a chunk may
+    cut a state) through :func:`repro.samplers.pool.run_chunks`, each
+    writing its weights into its own slice of ``buf[1:]``; the first
+    exception of a chunk propagates. Once summed by :meth:`Tables.cum`,
+    ``buf`` is bit-identical to ``concatenate([[0], cumsum(w)])`` over
+    the whole weight vector.
     """
     offs = np.zeros(len(states) + 1, dtype=np.int64)
     np.cumsum(lens, out=offs[1:])
@@ -131,11 +121,9 @@ def build_tables(
         )
     buf = np.empty(total + 1, dtype=np.float64)
     buf[0] = 0.0
-    threads = _cpu_count()
-    chunk = max(1, _CHUNK_ENTRIES // threads)
+    chunk = max(1, pool.MAX_IN_FLIGHT // pool.cpu_count())
 
-    def fill(a: int) -> None:
-        b = min(a + chunk, total)
+    def fill(a: int, b: int) -> None:
         # States s0..s1-1 own the entries a..b-1.
         s0 = int(np.searchsorted(offs, a, side="right")) - 1
         s1 = int(np.searchsorted(offs, b, side="left"))
@@ -146,15 +134,7 @@ def build_tables(
         cand_eidx = g.indptr[wk.cur] + (np.arange(a, b, dtype=np.int64) - offs[sid])
         buf[a + 1 : b + 1] = model.dyn_weight(g, wk, cand_eidx)
 
-    # numpy releases the GIL inside each chunk's array work. A lazy
-    # graph or model cache (``CSRGraph.edge_type``, ``Edge2Vec.M``, ...)
-    # first needed here may be filled by several threads at once; each
-    # computes the same value from immutable inputs, so any one may win.
-    # Reading every result re-raises a chunk's exception; map's iterator
-    # then cancels the chunks not yet started.
-    with ThreadPoolExecutor(threads, thread_name_prefix="alias-build") as pool:
-        for _ in pool.map(fill, range(0, total, chunk)):
-            pass
+    pool.run_chunks(fill, total, chunk, name="alias-build")
     return Tables(buf, offs)
 
 

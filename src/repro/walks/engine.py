@@ -4,9 +4,11 @@ UniNet parallelizes walk generation by assigning independent walkers to
 threads (§IV-A); the distributed-dataflow translation assigns them to
 Spark partitions. The walker population (start node × walk number) is a
 DataFrame; ``mapInPandas`` runs the vectorized kernel per partition
-against a **broadcast** read-only graph + prepared sampler. Sampler
-manager state (``LAST_x``) is task-local: every task starts from an
-empty store (DESIGN.md §7).
+against a **broadcast** read-only graph + prepared sampler. The M-H
+sampler's ``prepare()`` initializes its ``LAST_x`` store on the driver,
+and the store ships in the broadcast: every task starts from the same
+initialized store, closer to UniNet's threads sharing one ``LAST_x``
+array, and evolves the chains of its own copy (DESIGN.md §7).
 
 Samplers with expensive ``prepare()`` (alias tables) are prepared once
 on the driver and shipped via the broadcast, mirroring UniNet's threads
@@ -76,8 +78,8 @@ def generate_walks(
     def run(batches):
         gb, mb, sb, st = bc.value
         # The worker caches bc.value across tasks and actions: each task
-        # takes a private copy whose LAST_x store starts empty, so a
-        # corpus does not depend on which worker ran which task before.
+        # takes a private copy of the prepared LAST_x store, so a corpus
+        # does not depend on which worker ran which task before.
         samp = sb.task_copy()
         for pdf in batches:
             ids = pdf["id"].to_numpy(np.int64)

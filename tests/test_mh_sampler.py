@@ -1,14 +1,19 @@
 """M-H edge sampler (Algorithm 1): convergence, init strategies,
 sampler-manager 2D layout."""
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core import mh_sampler
 from repro.core.abstraction import WalkerBatch
 from repro.core.mh_sampler import MHSampler
 from repro.core.sampler_manager import SamplerManager
 from repro.core.theory import exact_transition, tv_distance
 from repro.graph.csr import from_edges
 from repro.models import make_model
+from repro.samplers import pool
 from repro.samplers.base import MemoryBudget
 
 from tests.util import empirical_distribution, good_state, small_graph, state_batch
@@ -145,30 +150,93 @@ def test_mh_invalid_init_raises(g):
         MHSampler(g, make_model("deepwalk"), np.random.default_rng(0), init="bogus")
 
 
-def test_mh_lazy_initialization_marks_states(g):
-    model = make_model("deepwalk")
-    s = MHSampler(g, model, np.random.default_rng(0))
+def _with_isolated_node(g):
+    """``g`` plus one isolated node of type 0."""
+    return from_edges(
+        g.src, g.indices, g.weights, n=g.n + 1,
+        node_type=np.append(g.node_type, 0), symmetrize=False,
+    )
+
+
+@pytest.mark.parametrize("init", ["random", "weight", "burn"])
+@pytest.mark.parametrize("mname", ["node2vec", "deepwalk", "metapath2vec"])
+def test_mh_prepare_initializes_exactly_the_live_states(g, mname, init):
+    """``prepare()`` gives every state a walk can leave a valid slot
+    (one with positive dynamic weight) and leaves the stuck ones at
+    ``-1``: the isolated node (deepwalk) and metapath states with no
+    neighbor of the required type. A draw from a stuck state returns
+    ``-1`` and leaves it uninitialized."""
+    gi = _with_isolated_node(g)
+    model = make_model(mname, p=0.25, q=4.0)
+    s = MHSampler(gi, model, np.random.default_rng(0), init=init, burn_in=20)
     s.prepare()
-    assert s.manager.initialized_count == 0
-    wk = state_batch(g, good_state(g)[0])
-    s.sample(wk)
-    assert s.manager.initialized_count == 1
-    s.sample(state_batch(g, int(g.neighbors(good_state(g)[0])[0])))
-    assert s.manager.initialized_count == 2
+    states = model.states(gi)
+    stuck = model.stuck(gi, states)
+    if mname != "node2vec":
+        assert stuck.any()
+    last = s.manager.last_slot
+    assert last.shape == (model.num_states(gi),)
+    np.testing.assert_array_equal(last >= 0, ~stuck)
+    live = states.take(~stuck)
+    slot = last[~stuck].astype(np.int64)
+    assert (slot < gi.degree(live.cur)).all()
+    assert (model.dyn_weight(gi, live, gi.indptr[live.cur] + slot) > 0).all()
+    assert s.stats == {"proposals": 0, "accepts": 0}
+
+    dead = states.take(stuck)
+    if len(dead):
+        assert (s.sample(dead) == -1).all()
+        assert (last[stuck] == -1).all()
 
 
-def test_mh_burn_in_costs_proposals(g):
-    """Burn-in performs burn_in extra M-H iterations per first touch —
-    visible in the proposal counter (the paper's expensive init)."""
+@pytest.mark.parametrize("init", ["random", "weight", "burn"])
+@pytest.mark.parametrize("mname", ["node2vec", "deepwalk", "metapath2vec"])
+def test_mh_store_identical_for_any_thread_count(g, monkeypatch, mname, init):
+    """Chunks of 37 entries, so ``prepare()`` runs many chunks: the store
+    is bit-identical on one pool thread, on three, and on more threads
+    than CPUs with a short switch interval."""
+    monkeypatch.setattr(mh_sampler, "_INIT_CHUNK_ENTRIES", 37)
+    gi = _with_isolated_node(g)
+    model = make_model(mname, p=0.25, q=4.0)
+
+    def store(threads):
+        monkeypatch.setattr(pool, "cpu_count", lambda: threads)
+        s = MHSampler(gi, model, np.random.default_rng(5), init=init, burn_in=10)
+        s.prepare()
+        return s.manager.last_slot
+
+    ref = store(1)
+    assert model.num_states(gi) > 4 * 37
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (3, len(os.sched_getaffinity(0)) + 3):
+            np.testing.assert_array_equal(store(threads), ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mh_burn_in_iterates_in_prepare_outside_stats(g, monkeypatch):
+    """Burn-in runs ``burn_in`` M-H iterations per state inside
+    ``prepare()`` — visible in the dynamic weights it evaluates (the
+    paper's expensive init) — and its proposals count in no ``stats``."""
     model = make_model("deepwalk")
-    wk = state_batch(g, good_state(g)[0])
-    s_fast = MHSampler(g, model, np.random.default_rng(0), init="random")
-    s_fast.prepare()
-    s_fast.sample(wk)
-    s_burn = MHSampler(g, model, np.random.default_rng(0), init="burn", burn_in=100)
-    s_burn.prepare()
-    s_burn.sample(wk)
-    assert s_burn.stats["proposals"] >= s_fast.stats["proposals"] + 100
+    items = []
+    orig = type(model).dyn_weight
+
+    def counted(self, g_, wk, cand_eidx):
+        items.append(len(cand_eidx))
+        return orig(self, g_, wk, cand_eidx)
+
+    monkeypatch.setattr(type(model), "dyn_weight", counted)
+    evaluated = {}
+    for init in ("random", "burn"):
+        items.clear()
+        s = MHSampler(g, model, np.random.default_rng(0), init=init, burn_in=100)
+        s.prepare()
+        evaluated[init] = sum(items)
+        assert s.stats == {"proposals": 0, "accepts": 0}
+    assert evaluated["burn"] >= evaluated["random"] + 100 * g.n
 
 
 def test_mh_high_weight_init_picks_heavy_slot(g):
@@ -180,7 +248,6 @@ def test_mh_high_weight_init_picks_heavy_slot(g):
     s = MHSampler(g, model, np.random.default_rng(3), init="weight",
                   hw_samples=max(64, 4 * deg))
     s.prepare()
-    s.sample(state_batch(g, v))
     slot = int(s.manager.get(np.array([v]))[0])
     w = g.neighbor_weights(v)
     assert w[slot] >= np.quantile(w, 0.9)
@@ -217,17 +284,24 @@ def test_mh_budget_charged_on_prepare(g):
     assert b.ledger["mh_last_states"] == 4 * g.m
 
 
-def test_mh_task_copy_starts_empty_without_second_charge(g):
+def test_mh_task_copy_evolves_private_store_without_second_charge(g):
+    """A task copy starts from the prepared store and writes to its own
+    copy of it; the prepared store and the ledger do not change."""
     b = MemoryBudget(None)
     s = MHSampler(g, make_model("node2vec"), np.random.default_rng(0), budget=b)
     s.prepare()
-    v, prev = good_state(g)
-    s.sample(state_batch(g, v, prev))
+    prepared = s.manager.last_slot.copy()
     c = s.task_copy()
     assert c.manager is not s.manager
-    assert c.manager.num_states == g.m and c.manager.initialized_count == 0
-    c.sample(state_batch(g, v, prev))
-    assert s.manager.initialized_count == 1
+    assert c.manager.last_slot is not s.manager.last_slot
+    np.testing.assert_array_equal(c.manager.last_slot, prepared)
+    e = np.random.default_rng(1).integers(0, g.m, 500)
+    wk = WalkerBatch(cur=g.indices[e].astype(np.int64), prev=g.src[e], prev_eidx=e)
+    for _ in range(5):
+        c.sample(wk)
+    assert (c.manager.last_slot != prepared).any()
+    np.testing.assert_array_equal(s.manager.last_slot, prepared)
+    assert s.stats == {"proposals": 0, "accepts": 0}
     assert b.ledger == {"mh_last_states": 4 * g.m}
 
 
@@ -248,15 +322,13 @@ def _two_call_sample(s, wk):
     ``w_last`` and ``w_cand``: the reference for the fused ``sample``."""
     g = s.g
     state = s.model.state_index(g, wk)
-    need = s.manager.uninitialized(state)
-    if need.any():
-        s._initialize(wk.take(need), state[need])
     start = g.indptr[wk.cur]
     last = s.manager.get(state).astype(np.int64)
     w_last = s.model.dyn_weight(g, wk, start + last)
     new_slot, _ = s._mh_iterate(wk, last, w_last)
+    new_slot[last < 0] = -1
     s.manager.set(state, new_slot)
-    return start + new_slot
+    return np.where(new_slot >= 0, start + new_slot, -1)
 
 
 @pytest.mark.parametrize("init", ["random", "weight"])

@@ -268,6 +268,17 @@ def test_states_enumerate_the_state_space_in_index_order(g, name, kw):
     if m.order == 2:
         # Edge-source order: has_edge's marker path applies.
         assert (np.diff(states.prev) >= 0).all()
+    # A range of states, as the M-H initialization's chunks take them.
+    n = m.num_states(g)
+    for lo, hi in [(0, n), (0, 1), (n // 3, 2 * n // 3), (n - 5, n), (n, n)]:
+        part, want = m.states(g, lo, hi), states.take(np.arange(lo, hi))
+        for f in ("cur", "prev", "prev_eidx", "req_type"):
+            a, b = getattr(part, f), getattr(want, f)
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("name,kw", CONTRACT_MODELS)

@@ -15,7 +15,7 @@ from repro.core.abstraction import WalkerBatch
 from repro.core.theory import exact_transition, tv_distance
 from repro.graph.csr import from_edges
 from repro.models import make_model
-from repro.samplers import SAMPLER_NAMES, alias, make_sampler
+from repro.samplers import SAMPLER_NAMES, alias, make_sampler, pool
 from repro.samplers.base import (
     EdgeSampler,
     MemoryBudget,
@@ -222,8 +222,8 @@ def _chunk_37(monkeypatch, threads=None):
     """Build tables with ``threads`` pool threads (default: this
     machine's CPUs) in chunks of 37 entries, which cut states."""
     if threads is not None:
-        monkeypatch.setattr(alias, "_cpu_count", lambda: threads)
-    monkeypatch.setattr(alias, "_CHUNK_ENTRIES", 37 * alias._cpu_count())
+        monkeypatch.setattr(pool, "cpu_count", lambda: threads)
+    monkeypatch.setattr(pool, "MAX_IN_FLIGHT", 37 * pool.cpu_count())
 
 
 def _check_alias(g, model, ref=None):
