@@ -12,11 +12,12 @@ T_l (learning), T_t (total) for three implementations:
   init), the paper's contribution.
 
 T_i is the sampler's ``prepare()`` on the driver; T_w is the wall time
-of distributed walk generation (Spark ``mapInPandas`` engine), whose
-count persists the corpus; T_l is MLlib Word2Vec training on the
-persisted M-H corpus, so it does not re-run walk generation (computed
-once per model+dataset and shared across implementations — the
-learning phase is identical and outside the paper's contribution).
+of distributed walk generation (Spark ``mapInArrow`` engine), whose
+count persists the corpus; T_l is MLlib Word2Vec training, with one
+partition per core, on the persisted M-H corpus, so it does not re-run
+walk generation (computed once per model+dataset and shared across
+implementations — the learning phase is identical and outside the
+paper's contribution).
 ``*`` marks a sampler whose simulated memory ledger exceeds the
 paper-scaled budget.
 
@@ -127,6 +128,7 @@ def run_learning(spark, walks, big: bool) -> float:
         train_embeddings(
             walks, dim=32, window=5, max_iter=1, seed=3,
             min_count=5 if big else 0,
+            num_partitions=spark.sparkContext.defaultParallelism,
         ).count()
     return tl.s
 

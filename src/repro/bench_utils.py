@@ -128,7 +128,7 @@ def get_or_create_spark(app: str = "repro-job"):
     and the tests' ``spark`` fixture: :func:`set_spark_submit_args`,
     then the per-session configs honoured after launch. Arrow on and
     broadcast joins off are the flags of walkbench's session too, so the
-    tests run the walk engine's ``mapInPandas`` path under the settings
+    tests run the walk engine's ``mapInArrow`` path under the settings
     that walkbench measures."""
     set_spark_submit_args()
     from pyspark.sql import SparkSession

@@ -80,6 +80,17 @@ class CSRGraph:
             self, "comp_key", src * np.int64(self.n) + self.indices.astype(np.int64)
         )
 
+    def __reduce__(self):
+        # Pickle (the engine's broadcast) only the primary arrays:
+        # __post_init__ rebuilds src and comp_key on unpickle, and the
+        # lazy caches refill on first use. That halves twitter_sim's
+        # broadcast for one np.repeat and one multiply-add per worker.
+        return (
+            type(self),
+            (self.n, self.indptr, self.indices, self.weights, self.node_type,
+             self.node_attr),
+        )
+
     # ------------------------------------------------------------------
     @property
     def m(self) -> int:

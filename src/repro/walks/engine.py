@@ -3,12 +3,21 @@
 UniNet parallelizes walk generation by assigning independent walkers to
 threads (§IV-A); the distributed-dataflow translation assigns them to
 Spark partitions. The walker population (start node × walk number) is a
-DataFrame; ``mapInPandas`` runs the vectorized kernel per partition
-against a **broadcast** read-only graph + prepared sampler. The M-H
-sampler's ``prepare()`` initializes its ``LAST_x`` store on the driver,
-and the store ships in the broadcast: every task starts from the same
-initialized store, closer to UniNet's threads sharing one ``LAST_x``
-array, and evolves the chains of its own copy (DESIGN.md §7).
+``spark.range`` of walker ids, one contiguous id range per partition and
+no shuffle. ``mapInArrow`` runs the vectorized kernel per partition
+against a **broadcast** read-only graph + prepared sampler, and returns
+each block of walks as an Arrow ``RecordBatch`` built straight from the
+padded walk matrix. The M-H sampler's ``prepare()`` initializes its
+``LAST_x`` store on the driver, and the store ships in the broadcast:
+every task starts from the same initialized store, closer to UniNet's
+threads sharing one ``LAST_x`` array, and evolves the chains of its own
+copy (DESIGN.md §7).
+
+A task cuts its ids into blocks of :data:`BLOCK` consecutive walkers,
+counted from the partition's first id whatever the Arrow batches
+delivered, and reseeds its sampler at each block from the block's first
+id. So a corpus depends only on the graph, model, sampler, seed and
+``num_partitions`` (DESIGN.md §2).
 
 Samplers with expensive ``prepare()`` (alias tables) are prepared once
 on the driver and shipped via the broadcast, mirroring UniNet's threads
@@ -18,19 +27,24 @@ on its first draw (``samplers/alias.py``).
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.abstraction import RandomWalkModel
 from repro.graph.csr import CSRGraph
 from repro.samplers import make_sampler
 from repro.samplers.base import EdgeSampler
-from repro.walks.kernel import simulate_walks, walks_to_lists
+from repro.walks.kernel import simulate_walks
 
 WALKS_SCHEMA = "walk_id long, start long, walk array<long>"
+_WALKS_ARROW = pa.schema(
+    [("walk_id", pa.int64()), ("start", pa.int64()), ("walk", pa.list_(pa.int64()))]
+)
+#: Walkers per kernel call, and per reseed of a task's sampler.
+BLOCK = 10_000
 
 
 def walker_frame(
@@ -39,9 +53,36 @@ def walker_frame(
     num_walks: int,
     num_partitions: int,
 ) -> DataFrame:
-    """The walker population: one row per (start node, walk index)."""
+    """The walker population: one row per (start node, walk index), as
+    ``num_partitions`` contiguous id ranges."""
     n = int(starts.shape[0]) * num_walks
-    return spark.range(n).repartition(num_partitions)
+    return spark.range(0, n, 1, num_partitions)
+
+
+def walker_blocks(batches: Iterable[pa.RecordBatch]) -> Iterator[np.ndarray]:
+    """The walker ids of a task's input batches, re-cut into runs of
+    :data:`BLOCK` in arrival order; the last run may be shorter. An
+    empty partition yields nothing."""
+    buf = np.empty(0, dtype=np.int64)
+    for rb in batches:
+        buf = np.concatenate([buf, rb.column(0).to_numpy()])
+        while buf.shape[0] >= BLOCK:
+            yield buf[:BLOCK]
+            buf = buf[BLOCK:]
+    if buf.shape[0]:
+        yield buf
+
+
+def walks_batch(ids: np.ndarray, starts: np.ndarray, walks: np.ndarray) -> pa.RecordBatch:
+    """One block of the corpus: the ``-1``-padded walk matrix becomes
+    the ``walk`` list column through its offsets and unpadded values."""
+    keep = walks >= 0
+    offsets = np.zeros(walks.shape[0] + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=offsets[1:])
+    walk = pa.ListArray.from_arrays(offsets, walks[keep])
+    return pa.RecordBatch.from_arrays(
+        [pa.array(ids), pa.array(starts), walk], schema=_WALKS_ARROW
+    )
 
 
 def generate_walks(
@@ -62,6 +103,8 @@ def generate_walks(
     (so its init cost is timed separately, Table VI's ``T_i``);
     otherwise one is built and prepared on the driver here. The
     returned DataFrame is lazy — trigger with an action.
+    ``num_partitions`` defaults to the session's ``defaultParallelism``;
+    pass it to get the same corpus on machines with other core counts.
     """
     sc = spark.sparkContext
     parts = num_partitions or sc.defaultParallelism
@@ -81,24 +124,15 @@ def generate_walks(
         # takes a private copy of the prepared LAST_x store, so a corpus
         # does not depend on which worker ran which task before.
         samp = sb.task_copy()
-        for pdf in batches:
-            ids = pdf["id"].to_numpy(np.int64)
-            if ids.shape[0] == 0:
-                continue
+        for ids in walker_blocks(batches):
             samp.reseed(np.random.default_rng((seed, int(ids[0]), 0xC0FFEE)))
-            batch_starts = st[ids % st.shape[0]]
+            block_starts = st[ids % st.shape[0]]
             walks = simulate_walks(
-                gb, mb, batch_starts, walk_length, samp, samp.rng
+                gb, mb, block_starts, walk_length, samp, samp.rng
             )
-            yield pd.DataFrame(
-                {
-                    "walk_id": ids,
-                    "start": batch_starts,
-                    "walk": walks_to_lists(walks),
-                }
-            )
+            yield walks_batch(ids, block_starts, walks)
 
-    return walker_frame(spark, starts, num_walks, parts).mapInPandas(
+    return walker_frame(spark, starts, num_walks, parts).mapInArrow(
         run, schema=WALKS_SCHEMA
     )
 

@@ -8,8 +8,9 @@ a dead end (no neighbor / no metapath-compatible neighbor) stop early;
 their walks are ``-1``-padded.
 
 This kernel is the unit of distribution: the Spark engine runs it via
-``mapInPandas`` with the graph broadcast, and the table harnesses call
-it directly when they need sampler statistics (acceptance ratios).
+``mapInArrow`` on blocks of walkers with the graph broadcast, and the
+table harnesses call it directly when they need sampler statistics
+(acceptance ratios).
 """
 from __future__ import annotations
 
@@ -95,6 +96,8 @@ def walk_lengths(walks: np.ndarray) -> np.ndarray:
 
 
 def walks_to_lists(walks: np.ndarray) -> list:
-    """Strip ``-1`` padding; python lists for the Arrow list column."""
+    """Strip ``-1`` padding: one Python list per walk, the list form
+    that harnesses and tests use (the engine encodes the padded matrix
+    into Arrow directly, ``engine.walks_batch``)."""
     lens = walk_lengths(walks)
     return [row[:ln].tolist() for row, ln in zip(walks, lens)]

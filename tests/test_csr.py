@@ -301,9 +301,36 @@ def test_node_attr_defaults_to_type():
 
 
 def test_pickle_roundtrip(g):
+    """The pickle (the engine's broadcast) carries only the primary
+    arrays; unpickling rebuilds the derived ones, and a pickled sampler
+    still shares the unpickled graph."""
     import pickle
 
-    g2 = pickle.loads(pickle.dumps(g))
+    from repro.models import make_model
+    from repro.samplers import make_sampler
+
+    g.weight_prefix(), g.type_count()  # lazy caches do not ship
+    blob = pickle.dumps(g)
+    primary = (
+        g.indptr.nbytes + g.indices.nbytes + g.weights.nbytes
+        + g.node_type.nbytes + g.node_attr.nbytes
+    )
+    assert len(blob) < primary + 1024
+    g2 = pickle.loads(blob)
     assert g2.n == g.n and g2.m == g.m
-    assert (g2.indices == g.indices).all()
-    assert (g2.comp_key == g.comp_key).all()
+    for name in ("indptr", "indices", "weights", "node_type", "node_attr",
+                 "src", "comp_key"):
+        a, b = getattr(g, name), getattr(g2, name)
+        assert a.dtype == b.dtype and (a == b).all(), name
+    rng = np.random.default_rng(0)
+    u = rng.integers(-2, g.n + 2, 500)
+    v = rng.integers(-2, g.n + 2, 500)
+    u[:250], v[:250] = g.src[:250], g.indices[:250]
+    assert (g2.edge_index(u, v) == g.edge_index(u, v)).all()
+    assert (g2.has_edge(u, v) == g.has_edge(u, v)).all()
+    assert (g2.has_edge(np.sort(u), v) == g.has_edge(np.sort(u), v)).all()
+
+    s = make_sampler("mh", g, make_model("node2vec"), np.random.default_rng(0))
+    s.prepare()
+    g3, s3 = pickle.loads(pickle.dumps((g, s)))
+    assert s3.g is g3

@@ -1,13 +1,23 @@
-"""Distributed walk engine (mapInPandas over broadcast graph)."""
+"""Distributed walk engine (mapInArrow over broadcast graph)."""
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from repro.core.theory import exact_transition, tv_distance
 from repro.models import make_model
 from repro.oracle import assert_equivalent
-from repro.walks.engine import count_walk_tokens, generate_walks, walker_frame
+from repro.walks.engine import (
+    BLOCK,
+    WALKS_SCHEMA,
+    count_walk_tokens,
+    generate_walks,
+    walker_blocks,
+    walker_frame,
+    walks_batch,
+)
+from repro.walks.kernel import walks_to_lists
 
 from tests.util import small_graph
 
@@ -17,10 +27,87 @@ def g():
     return small_graph()
 
 
+def physical_plan(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
 def test_walker_frame_size(spark):
+    """Contiguous id ranges, one per partition, and no shuffle."""
     df = walker_frame(spark, np.arange(20), 3, 4)
     assert df.count() == 60
     assert df.rdd.getNumPartitions() == 4
+    assert "Exchange" not in physical_plan(df)
+    parts = df.rdd.glom().map(lambda rows: [r.id for r in rows]).collect()
+    assert [i for p in parts for i in p] == list(range(60))
+
+
+def test_engine_plan_has_no_shuffle(spark, g):
+    walks = generate_walks(
+        spark, g, make_model("deepwalk"), num_walks=1, walk_length=3, seed=0,
+        num_partitions=3,
+    )
+    plan = physical_plan(walks)
+    assert "MapInArrow" in plan and "Exchange" not in plan
+
+
+def id_batches(lo, hi, cuts):
+    """Arrow batches of the ids ``lo..hi-1``, split at ``cuts``."""
+    edges = [lo, *cuts, hi]
+    return [
+        pa.record_batch([pa.array(np.arange(a, b, dtype=np.int64))], names=["id"])
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+
+
+@pytest.mark.parametrize(
+    "cuts",
+    [[], [100 * i for i in range(1, 250)], [1, 9_999, 10_000, 10_000, 10_001, 24_999]],
+    ids=["one_batch", "batches_of_100", "ragged_with_empty"],
+)
+def test_walker_blocks_ignore_arrow_batching(cuts):
+    """Blocks start at the partition's first id and hold BLOCK ids,
+    wherever the Arrow batches were cut (empty batches included)."""
+    lo, hi = 7, 25_007
+    blocks = list(walker_blocks(id_batches(lo, hi, [lo + c for c in cuts])))
+    assert [b.tolist() for b in blocks] == [
+        list(range(a, min(a + BLOCK, hi))) for a in range(lo, hi, BLOCK)
+    ]
+
+
+def test_walker_blocks_empty_partition_yields_nothing():
+    assert list(walker_blocks([])) == []
+    assert list(walker_blocks(id_batches(5, 5, []))) == []
+
+
+def test_walks_batch_matches_list_form(spark):
+    """The Arrow encoder strips the -1 padding exactly as the list form
+    does (early stops and single-token walks included) and produces the
+    engine's declared schema."""
+    walks = np.array(
+        [[1, 2, 3, -1], [4, -1, -1, -1], [5, 6, 7, 8], [9, -1, -1, -1]],
+        dtype=np.int64,
+    )
+    ids = np.arange(10, 14, dtype=np.int64)
+    rb = walks_batch(ids, walks[:, 0].copy(), walks)
+    assert rb.column(2).to_pylist() == walks_to_lists(walks)
+    assert rb.column(0).to_pylist() == ids.tolist()
+    assert rb.column(1).to_pylist() == [1, 4, 5, 9]
+    declared = to_arrow_schema(spark.createDataFrame([], WALKS_SCHEMA).schema)
+    assert rb.schema.names == declared.names
+    assert rb.schema.types == declared.types
+
+
+def test_engine_more_partitions_than_walkers(spark):
+    """Empty partitions yield no rows and no error."""
+    from repro.graph.csr import from_edges
+
+    g5 = from_edges(np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]), n=5)
+    rows = generate_walks(
+        spark, g5, make_model("deepwalk"), num_walks=1, walk_length=4,
+        sampler="mh", seed=0, num_partitions=8,
+    ).collect()
+    assert sorted(r["walk_id"] for r in rows) == list(range(5))
+    assert sorted(r["start"] for r in rows) == list(range(5))
 
 
 @pytest.mark.parametrize("sampler", ["mh", "mh-random", "direct"])

@@ -58,6 +58,22 @@ def test_table6_run_impl_oom(spark):
     assert (ti, tw) == ("*", "*") and walks is None
 
 
+def test_table6_learning_uses_one_partition_per_core(spark, monkeypatch):
+    seen = {}
+
+    class Vectors:
+        def count(self):
+            return 0
+
+    def fake_train(walks, **kw):
+        seen.update(kw)
+        return Vectors()
+
+    monkeypatch.setattr(t6, "train_embeddings", fake_train)
+    t6.run_learning(spark, None, big=False)
+    assert seen["num_partitions"] == spark.sparkContext.defaultParallelism
+
+
 def test_table6_paper_numbers_recorded():
     assert t6.PAPER_TT[("deepwalk", "blogcatalog_lite")] == (25.14, 6.44, 1.51)
     assert t6.PAPER_TT[("node2vec", "twitter_sim")][0] == "*"
