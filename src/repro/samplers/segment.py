@@ -35,12 +35,29 @@ def window_choice(
     window ``[lo[i], hi[i])`` of running sum ``cum`` (entry ``j`` weighs
     ``cum[j + 1] - cum[j]``), drawn ∝ weight by inverse CDF with uniform
     ``u[i]``; ``-1`` where the window's mass is ≤ 1e-300 (or it is empty).
-    One global ``searchsorted`` for the whole batch."""
+
+    A vectorized bisection confined to each window: ⌈log₂ max width⌉
+    rounds, each gathering one entry of ``cum`` per walker, so a draw
+    costs O(log d) however long ``cum`` is. It returns the offset of
+    ``searchsorted(cum, target, 'right') - 1`` clipped to the window:
+    the last ``j`` in ``[lo, hi)`` with ``cum[j] <= target``, where
+    ``cum[lo] <= target`` holds from the start."""
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
     base = cum[lo]
     totals = cum[hi] - base
-    pos = np.searchsorted(cum, base + u * totals, side="right") - 1
-    off = np.clip(pos - lo, 0, np.maximum(hi - lo - 1, 0))
-    return np.where(totals > 1e-300, off, -1)
+    target = base + u * totals
+    # Steps 2^(k-1), ..., 1 with 2^k >= every width: each round moves
+    # ``pos`` forward by the step where that entry is still in the
+    # window and at most the target (``cand`` is capped at ``hi`` only
+    # to stay inside ``cum``).
+    pos = lo.copy()
+    for k in reversed(range(int((hi - lo).max(initial=1) - 1).bit_length())):
+        cand = np.minimum(pos + (1 << k), hi)
+        step = cum.take(cand) <= target
+        step &= cand < hi
+        np.copyto(pos, cand, where=step)
+    return np.where(totals > 1e-300, pos - lo, -1)
 
 
 def segmented_choice(

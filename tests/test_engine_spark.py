@@ -230,6 +230,32 @@ def test_engine_no_start_nodes_raises(spark):
         generate_walks(spark, g2, model)
 
 
+@pytest.mark.parametrize(
+    "kw", [dict(num_walks=0), dict(num_walks=-1), dict(walk_length=-3)]
+)
+def test_engine_invalid_walk_spec_raises_before_prepare(spark, g, monkeypatch, kw):
+    """An empty or negative walk spec fails on the driver, before a
+    sampler is built and prepared or anything is broadcast."""
+    import repro.walks.engine as engine
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached past the argument checks")
+
+    monkeypatch.setattr(engine, "make_sampler", unreachable)
+    monkeypatch.setattr(spark.sparkContext, "broadcast", unreachable)
+    with pytest.raises(ValueError, match="num_walks|walk_length"):
+        generate_walks(spark, g, make_model("deepwalk"), **kw)
+
+
+def test_count_walk_tokens_empty_corpus(spark, g):
+    walks = generate_walks(
+        spark, g, make_model("deepwalk"), num_walks=1, walk_length=0, seed=0
+    )
+    assert count_walk_tokens(walks.where(F.col("walk_id") < 0)) == 0
+    # walk_length 0: each walk is its start node alone.
+    assert count_walk_tokens(walks) == g.n
+
+
 def test_engine_metapath_missing_type_raises_before_any_job(spark):
     """A metapath naming a type the graph lacks fails on the driver,
     before generate_walks starts a Spark job."""

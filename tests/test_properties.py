@@ -77,6 +77,48 @@ def test_window_choice_matches_python_inverse_cdf(w, windows):
     assert window_choice(cum, lo, hi, u).tolist() == expected
 
 
+def _global_window_choice(cum, lo, hi, u):
+    """The one-``searchsorted``-over-all-of-``cum`` draw that the
+    windowed bisection replaced."""
+    base = cum[lo]
+    totals = cum[hi] - base
+    pos = np.searchsorted(cum, base + u * totals, side="right") - 1
+    off = np.clip(pos - lo, 0, np.maximum(hi - lo - 1, 0))
+    return np.where(totals > 1e-300, off, -1)
+
+
+#: Uniforms at both ends of [0, 1), and anywhere between.
+_U = st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]) | st.floats(
+    0.0, 1.0, exclude_max=True
+)
+
+
+@given(
+    # Runs of zero weight between weights of a few magnitudes.
+    st.lists(
+        st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 4.0]) | st.floats(0.0, 1e6),
+        min_size=1, max_size=300,
+    ),
+    st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300), _U), max_size=30),
+    _U,
+)
+@settings(max_examples=300, deadline=None)
+def test_window_choice_matches_global_searchsorted(w, windows, u_edge):
+    """The windowed bisection returns the global search's offsets, entry
+    for entry, on random windows plus empty, width-1 and whole windows
+    at both ends of ``cum``."""
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    m = len(w)
+    edge = [(0, 0), (m, m), (0, 1), (m - 1, m), (0, m), (m // 2, m // 2 + 1)]
+    pairs = [(min(a, b, m), min(max(a, b), m)) for a, b, _ in windows] + edge
+    lo = np.array([a for a, _ in pairs], dtype=np.int64)
+    hi = np.array([b for _, b in pairs], dtype=np.int64)
+    u = np.array([x for _, _, x in windows] + [u_edge] * len(edge))
+    np.testing.assert_array_equal(
+        window_choice(cum, lo, hi, u), _global_window_choice(cum, lo, hi, u)
+    )
+
+
 @given(
     st.lists(
         st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 4.0]), max_size=8),

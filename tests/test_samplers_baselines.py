@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.abstraction import WalkerBatch
 from repro.core.theory import exact_transition, tv_distance
+from repro.datasets import DATASETS
 from repro.graph.csr import from_edges
 from repro.models import make_model
 from repro.samplers import SAMPLER_NAMES, alias, make_sampler, pool
@@ -387,19 +388,37 @@ def test_tables_summed_once_across_copies(g, sname):
 
 @pytest.mark.parametrize("sname", ["alias", "memory_aware"])
 def test_pickled_tables_draw_like_the_original(g, sname):
-    """A sampler pickled before its first draw ships weights and sums
-    them on its own first draw; one pickled after ships the sum and does
-    not sum it again. Both draw the original's slots."""
+    """A sampler pickled before its first draw ships its weights as one
+    LZ4 frame and sums them on its own first draw; one pickled after
+    ships the sum raw and does not sum it again. Both unpickle to a
+    writable buffer and draw the original's slots."""
     s = _table_sampler(sname, g, make_model("node2vec", p=0.25, q=4.0))
     wk = _edge_states(g, 2000, 2)
+    assert isinstance(s._tables.__getstate__()["buf"], bytes)
     before = pickle.loads(pickle.dumps(s))
     assert not before._tables.summed
     want = _draw(s, wk, 3)
+    assert s._tables.__getstate__()["buf"] is s._tables.buf
     after = pickle.loads(pickle.dumps(s))
     assert after._tables.summed
     for c in (before, after):
+        assert c._tables.buf.flags.writeable
         np.testing.assert_array_equal(_draw(c, wk, 3), want)
         _assert_bits(c._tables.buf, s._tables.buf)
+
+
+def test_unsummed_flickr_alias_tables_pickle_to_an_eighth():
+    """node2vec's weights on flickr_lite take a few distinct values, so
+    its unsummed alias tables pickle to at most 1/8 of their raw bytes;
+    the copy holds the same weights and draws the original's slots."""
+    fg = DATASETS["flickr_lite"].build()
+    s = _table_sampler("alias", fg, make_model("node2vec", p=0.25, q=4.0))
+    assert len(pickle.dumps(s._tables)) <= s._tables.buf.nbytes / 8
+    c = pickle.loads(pickle.dumps(s))
+    assert c._tables.buf.flags.writeable and not c._tables.summed
+    _assert_bits(c._tables.buf, s._tables.buf)
+    wk = _edge_states(fg, 2000, 2)
+    np.testing.assert_array_equal(_draw(c, wk, 3), _draw(s, wk, 3))
 
 
 def test_tables_first_draws_race_sum_once(g):
