@@ -1,6 +1,8 @@
-"""Benchmark harness utilities: timing, paper-scaled budgets, tables.
+"""Harness utilities: timing, paper-scaled budgets, tables and the one
+Spark-session recipe.
 
-Shared by the ``jobs/`` table harnesses and the ``benchmarks/`` suite.
+Shared by the ``jobs/`` table harnesses, the tests' ``spark`` fixture
+and ``walkbench/``, the benchmark of the walk path.
 """
 from __future__ import annotations
 

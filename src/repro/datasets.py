@@ -63,8 +63,8 @@ class DatasetSpec:
 
 _K, _M, _B = 1e3, 1e6, 1e9
 
-#: name -> spec; paper Table V order. Sizes tuned so the full benchmark
-#: suite finishes in-container while every sampler-feasibility contrast
+#: name -> spec; paper Table V order. Sizes tuned so the ``jobs/`` tables
+#: finish on one machine while every sampler-feasibility contrast
 #: of the paper (which sampler OOMs where) is preserved by the
 #: proportional budget.
 DATASETS: Dict[str, DatasetSpec] = {

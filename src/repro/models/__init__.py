@@ -24,22 +24,25 @@ MODEL_INFO: Dict[str, dict] = {
 }
 
 
+#: The model class of each registry name.
+_MODELS = {
+    "deepwalk": DeepWalk,
+    "node2vec": Node2Vec,
+    "metapath2vec": MetaPath2Vec,
+    "edge2vec": Edge2Vec,
+    "fairwalk": FairWalk,
+}
+#: Paper §V-D settings that differ from the class defaults: edge2vec is
+#: evaluated at (p, q) = (0.25, 0.25); fairwalk's (1, 1) is the default.
+_PAPER_KW = {"edge2vec": dict(p=0.25, q=0.25)}
+
+
 def make_model(name: str, **kw):
-    """Instantiate a model by name. ``p``/``q``/``metapath`` accepted
-    where applicable; unknown names raise ``KeyError``."""
-    if name == "deepwalk":
-        return DeepWalk()
-    if name == "node2vec":
-        return Node2Vec(p=kw.get("p", 1.0), q=kw.get("q", 1.0))
-    if name == "metapath2vec":
-        return MetaPath2Vec(metapath=kw.get("metapath", [0, 1, 0]))
-    if name == "edge2vec":
-        # Paper §V-D: edge2vec evaluated at (p, q) = (0.25, 0.25).
-        return Edge2Vec(p=kw.get("p", 0.25), q=kw.get("q", 0.25), M=kw.get("M"))
-    if name == "fairwalk":
-        # Paper §V-D: fairwalk evaluated at (p, q) = (1, 1).
-        return FairWalk(p=kw.get("p", 1.0), q=kw.get("q", 1.0))
-    raise KeyError(name)
+    """Instantiate a model by name; ``kw`` (``p``/``q``/``metapath``/``M``
+    where the model has them) overrides the paper-suggested defaults.
+    Unknown names raise ``KeyError``, keywords the model does not take
+    ``TypeError``."""
+    return _MODELS[name](**{**_PAPER_KW.get(name, {}), **kw})
 
 
 __all__ = [

@@ -6,12 +6,15 @@ of :class:`~repro.core.abstraction.RandomWalkModel`'s defaults.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
 
 
+@dataclass
 class DeepWalk(RandomWalkModel):
     name = "deepwalk"
 

@@ -25,17 +25,17 @@ from repro.samplers.knightking import KnightKingSampler
 from repro.samplers.memory_aware import MemoryAwareSampler
 from repro.samplers.rejection import RejectionSampler
 
-SAMPLER_NAMES = (
-    "mh",
-    "mh-random",
-    "mh-weight",
-    "mh-burn",
-    "alias",
-    "direct",
-    "rejection",
-    "knightking",
-    "memory_aware",
-)
+#: Initialization strategy (§III-C) of each M-H registry name.
+_MH_INITS = {"mh": "weight", "mh-random": "random", "mh-weight": "weight",
+             "mh-burn": "burn"}
+_SAMPLERS = {
+    "alias": TableSampler,
+    "direct": DirectSampler,
+    "rejection": RejectionSampler,
+    "knightking": KnightKingSampler,
+    "memory_aware": MemoryAwareSampler,
+}
+SAMPLER_NAMES = (*_MH_INITS, *_SAMPLERS)
 
 
 def make_sampler(
@@ -46,27 +46,16 @@ def make_sampler(
     budget: Optional[MemoryBudget] = None,
     **kw,
 ) -> EdgeSampler:
+    """Build sampler ``name``; ``kw`` goes to its constructor. An
+    unknown name raises ``KeyError``, a keyword the sampler does not
+    take raises ``TypeError``."""
     # Imported lazily: core.mh_sampler itself depends on samplers.base,
     # so a top-level import here would be circular.
     from repro.core.mh_sampler import MHSampler
 
-    if name in ("mh", "mh-weight"):
-        return MHSampler(g, model, rng, budget, init="weight", **kw)
-    if name == "mh-random":
-        return MHSampler(g, model, rng, budget, init="random", **kw)
-    if name == "mh-burn":
-        return MHSampler(g, model, rng, budget, init="burn", **kw)
-    if name == "alias":
-        return TableSampler(g, model, rng, budget)
-    if name == "direct":
-        return DirectSampler(g, model, rng, budget)
-    if name == "rejection":
-        return RejectionSampler(g, model, rng, budget)
-    if name == "knightking":
-        return KnightKingSampler(g, model, rng, budget)
-    if name == "memory_aware":
-        return MemoryAwareSampler(g, model, rng, budget, **kw)
-    raise KeyError(name)
+    if name in _MH_INITS:
+        return MHSampler(g, model, rng, budget, init=_MH_INITS[name], **kw)
+    return _SAMPLERS[name](g, model, rng, budget, **kw)
 
 
 __all__ = [

@@ -109,18 +109,21 @@ def generate_walks(
     ``num_partitions`` defaults to the session's ``defaultParallelism``;
     pass it to get the same corpus on machines with other core counts.
 
-    Raises ``ValueError`` for ``num_walks < 1`` or ``walk_length < 0``,
-    before any ``prepare()`` or broadcast. Each call's broadcast lives
-    until the session stops: its pickle file stays in Spark's temp dir
-    and its blocks stay in the JVM, so a session that builds many large
-    corpora (alias tables) accumulates them.
+    Raises ``ValueError`` for ``num_walks < 1``, ``walk_length < 0`` or
+    ``num_partitions < 1``, before any ``prepare()`` or broadcast. Each
+    call's broadcast lives until the session stops: its pickle file
+    stays in Spark's temp dir and its blocks stay in the JVM, so a
+    session that builds many large corpora (alias tables) accumulates
+    them.
     """
     if num_walks < 1:
         raise ValueError(f"num_walks must be >= 1, got {num_walks}")
     if walk_length < 0:
         raise ValueError(f"walk_length must be >= 0, got {walk_length}")
+    if num_partitions is not None and num_partitions < 1:
+        raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
     sc = spark.sparkContext
-    parts = num_partitions or sc.defaultParallelism
+    parts = sc.defaultParallelism if num_partitions is None else num_partitions
     starts = model.start_nodes(g)
     if starts.shape[0] == 0:
         raise ValueError("model has no eligible start nodes on this graph")

@@ -231,11 +231,19 @@ def test_engine_no_start_nodes_raises(spark):
 
 
 @pytest.mark.parametrize(
-    "kw", [dict(num_walks=0), dict(num_walks=-1), dict(walk_length=-3)]
+    "kw",
+    [
+        dict(num_walks=0),
+        dict(num_walks=-1),
+        dict(walk_length=-3),
+        dict(num_partitions=0),
+        dict(num_partitions=-2),
+    ],
 )
 def test_engine_invalid_walk_spec_raises_before_prepare(spark, g, monkeypatch, kw):
-    """An empty or negative walk spec fails on the driver, before a
-    sampler is built and prepared or anything is broadcast."""
+    """An empty or negative walk spec or partition count fails on the
+    driver, before a sampler is built and prepared or anything is
+    broadcast."""
     import repro.walks.engine as engine
 
     def unreachable(*args, **kwargs):
@@ -243,7 +251,7 @@ def test_engine_invalid_walk_spec_raises_before_prepare(spark, g, monkeypatch, k
 
     monkeypatch.setattr(engine, "make_sampler", unreachable)
     monkeypatch.setattr(spark.sparkContext, "broadcast", unreachable)
-    with pytest.raises(ValueError, match="num_walks|walk_length"):
+    with pytest.raises(ValueError, match="num_walks|walk_length|num_partitions"):
         generate_walks(spark, g, make_model("deepwalk"), **kw)
 
 

@@ -16,7 +16,13 @@ from repro.models import make_model
 from repro.samplers import pool
 from repro.samplers.base import MemoryBudget
 
-from tests.util import empirical_distribution, good_state, small_graph, state_batch
+from tests.util import (
+    biased_model,
+    empirical_distribution,
+    good_state,
+    small_graph,
+    state_batch,
+)
 
 MODELS = [
     ("deepwalk", {}, dict()),
@@ -167,7 +173,7 @@ def test_mh_prepare_initializes_exactly_the_live_states(g, mname, init):
     neighbor of the required type. A draw from a stuck state returns
     ``-1`` and leaves it uninitialized."""
     gi = _with_isolated_node(g)
-    model = make_model(mname, p=0.25, q=4.0)
+    model = biased_model(mname)
     s = MHSampler(gi, model, np.random.default_rng(0), init=init, burn_in=20)
     s.prepare()
     states = model.states(gi)
@@ -197,7 +203,7 @@ def test_mh_store_identical_for_any_thread_count(g, monkeypatch, mname, init):
     than CPUs with a short switch interval."""
     monkeypatch.setattr(mh_sampler, "_INIT_CHUNK_ENTRIES", 37)
     gi = _with_isolated_node(g)
-    model = make_model(mname, p=0.25, q=4.0)
+    model = biased_model(mname)
 
     def store(threads):
         monkeypatch.setattr(pool, "cpu_count", lambda: threads)

@@ -317,6 +317,23 @@ def test_registry_unknown():
         make_model("nope")
 
 
+@pytest.mark.parametrize(
+    "name,kw",
+    [
+        ("node2vec", dict(P=4.0)),
+        ("deepwalk", dict(p=0.25)),
+        ("metapath2vec", dict(q=2.0)),
+        ("fairwalk", dict(M=None)),
+    ],
+)
+def test_registry_rejects_unknown_keyword(name, kw):
+    """A misspelt or foreign hyper-parameter fails loudly instead of
+    leaving the model at its defaults."""
+    (key,) = kw
+    with pytest.raises(TypeError, match=key):
+        make_model(name, **kw)
+
+
 def test_registry_paper_defaults():
     assert make_model("edge2vec").p == 0.25
     assert make_model("fairwalk").q == 1.0

@@ -27,6 +27,7 @@ from repro.samplers.segment import ragged_arange, segment_ids, segmented_choice
 from repro.walks.kernel import simulate_walks
 
 from tests.util import (
+    biased_model,
     empirical_distribution_batched,
     good_state,
     small_graph,
@@ -117,7 +118,7 @@ def test_static_sampler_isolated_node_returns_minus_one():
 def test_rejection_family_isolated_node_returns_minus_one(sname, mname):
     g = _isolated_graph()
     # p = 0.25 gives KnightKing's return edge an excess mass to fold.
-    model = make_model(mname, p=0.25, q=4.0)
+    model = biased_model(mname)
     cur = np.array([0, 1, 2, 3, 0])
     prev = np.array([-1, 2, 3, 1, -1]) if model.order == 2 else np.full(5, -1)
     prev_eidx = np.where(prev >= 0, g.edge_index(np.maximum(prev, 0), cur), -1)
@@ -596,6 +597,23 @@ def test_sampler_registry_unknown(g):
         make_sampler("bogus", g, make_model("deepwalk"), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "sname,kw",
+    [
+        ("alias", dict(table_budget_bytes=1.0)),
+        ("direct", dict(burn_in=5)),
+        ("rejection", dict(hw_samples=4)),
+    ],
+)
+def test_sampler_registry_rejects_unknown_keyword(g, sname, kw):
+    """A keyword the sampler's constructor lacks raises instead of being
+    dropped."""
+    (key,) = kw
+    model = make_model("node2vec")
+    with pytest.raises(TypeError, match=key):
+        make_sampler(sname, g, model, np.random.default_rng(0), **kw)
+
+
 @pytest.mark.parametrize("sname", [n for n in SAMPLER_NAMES if n != "direct"])
 def test_unprepared_sampler_cannot_draw(g, sname):
     """``prepare()`` is the one way to a sampler's tables and state
@@ -620,7 +638,7 @@ def test_task_copies_are_isolated(g, mname, sname):
     like solo runs with their seeds, and the prepared sampler counts
     nothing: a copy shares only the graph and read-only tables, and no
     sampler holds another sampler."""
-    model = make_model(mname, p=0.25, q=4.0)
+    model = biased_model(mname)
     starts = model.start_nodes(g)[:40]
     s = make_sampler(sname, g, model, np.random.default_rng(0))
     s.prepare()

@@ -7,6 +7,7 @@ import numpy as np
 
 from repro.core.abstraction import WalkerBatch
 from repro.graph.csr import CSRGraph, from_edges
+from repro.models import make_model
 from repro.synth_data import chung_lu_edges, node_types
 
 
@@ -24,6 +25,12 @@ def small_graph(
     )
     nt = node_types(n=n, n_types=n_types, seed=seed)
     return from_edges(src, dst, w, n=n, node_type=nt)
+
+
+def biased_model(name: str):
+    """``make_model(name)``, with node2vec at the strongly biased
+    (p, q) = (0.25, 4); the other models take neither parameter."""
+    return make_model(name, **(dict(p=0.25, q=4.0) if name == "node2vec" else {}))
 
 
 def state_batch(
