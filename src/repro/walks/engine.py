@@ -27,9 +27,16 @@ LZ4 frame (flickr_lite's node2vec broadcast: 11.9 MB instead of
 place, on its first draw (``samplers/alias.py``). Each draw then
 searches only its own table's window of the running sum
 (``samplers/segment.window_choice``).
+
+Each task first makes the Python worker's zip importers drop their
+cached archive directories lazily instead of re-reading them, which
+PySpark's per-task ``importlib.invalidate_caches()`` otherwise costs on
+CPython < 3.13 (:func:`_lazy_zip_invalidation`, DESIGN.md §2).
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -48,6 +55,33 @@ _WALKS_ARROW = pa.schema(
 )
 #: Walkers per kernel call, and per reseed of a task's sampler.
 BLOCK = 10_000
+
+
+def _forget_zip_directory(self) -> None:
+    """``zipimporter.invalidate_caches`` as CPython 3.13 has it: drop
+    the archive's cached directory, read nothing."""
+    zipimport._zip_directory_cache.pop(self.archive, None)
+
+
+def _lazy_zip_invalidation() -> None:
+    """Install :func:`_forget_zip_directory` as
+    ``zipimporter.invalidate_caches``, once per process; a no-op on
+    CPython 3.13 and later, whose method already does that.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` at every
+    task start, and before 3.13 each of the worker's zip importers
+    (``pyspark.zip``, py4j's zip, the Spark jar and their packages)
+    re-parses its archive's whole central directory there: 0.12–0.45 s
+    per task. The one difference from 3.13: an importer that already
+    exists keeps the directory it read, so it does not see an archive
+    that changes while the worker lives, which Spark's own archives
+    never do.
+    """
+    if (
+        sys.version_info < (3, 13)
+        and zipimport.zipimporter.invalidate_caches is not _forget_zip_directory
+    ):
+        zipimport.zipimporter.invalidate_caches = _forget_zip_directory
 
 
 def walker_frame(
@@ -103,14 +137,16 @@ def generate_walks(
     """Random walk corpus as a DataFrame ``(walk_id, start, walk)``.
 
     ``prepared`` lets callers pass an already-``prepare()``-ed sampler
-    (so its init cost is timed separately, Table VI's ``T_i``);
-    otherwise one is built and prepared on the driver here. The
-    returned DataFrame is lazy — trigger with an action.
+    built on this ``g`` and ``model`` (so its init cost is timed
+    separately, Table VI's ``T_i``); otherwise one is built and prepared
+    on the driver here. The returned DataFrame is lazy — trigger with an
+    action.
     ``num_partitions`` defaults to the session's ``defaultParallelism``;
     pass it to get the same corpus on machines with other core counts.
 
-    Raises ``ValueError`` for ``num_walks < 1``, ``walk_length < 0`` or
-    ``num_partitions < 1``, before any ``prepare()`` or broadcast. Each
+    Raises ``ValueError`` for ``num_walks < 1``, ``walk_length < 0``,
+    ``num_partitions < 1`` or a ``prepared`` sampler built on another
+    graph or model object, before any ``prepare()`` or broadcast. Each
     call's broadcast lives until the session stops: its pickle file
     stays in Spark's temp dir and its blocks stay in the JVM, so a
     session that builds many large corpora (alias tables) accumulates
@@ -122,6 +158,8 @@ def generate_walks(
         raise ValueError(f"walk_length must be >= 0, got {walk_length}")
     if num_partitions is not None and num_partitions < 1:
         raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
+    if prepared is not None and (prepared.g is not g or prepared.model is not model):
+        raise ValueError("prepared sampler was built for another graph or model")
     sc = spark.sparkContext
     parts = sc.defaultParallelism if num_partitions is None else num_partitions
     starts = model.start_nodes(g)
@@ -135,6 +173,7 @@ def generate_walks(
     bc = sc.broadcast((g, model, prepared, starts))
 
     def run(batches):
+        _lazy_zip_invalidation()
         gb, mb, sb, st = bc.value
         # The worker caches bc.value across tasks and actions: each task
         # takes a private copy of the prepared LAST_x store, so a corpus

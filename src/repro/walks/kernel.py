@@ -47,9 +47,11 @@ def simulate_walks(
 
     # First step of second-order models draws from the static
     # distribution (there is no previous edge yet) — the original
-    # node2vec behaviour.
-    static = StaticSampler(g, model, rng)
-    static.prepare()
+    # node2vec behaviour. First-order models never use it, so they skip
+    # the graph's weight prefix.
+    if model.order == 2:
+        static = StaticSampler(g, model, rng)
+        static.prepare()
 
     for t in range(1, walk_length + 1):
         idx = np.where(alive)[0]

@@ -1,10 +1,17 @@
 """Distributed walk engine (mapInArrow over broadcast graph)."""
+import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 from pyspark.sql.pandas.types import to_arrow_schema
 
+import repro
 from repro.core.theory import exact_transition, tv_distance
 from repro.models import make_model
 from repro.oracle import assert_equivalent
@@ -244,6 +251,33 @@ def test_engine_invalid_walk_spec_raises_before_prepare(spark, g, monkeypatch, k
     """An empty or negative walk spec or partition count fails on the
     driver, before a sampler is built and prepared or anything is
     broadcast."""
+    forbid_prepare_and_broadcast(spark, monkeypatch)
+    with pytest.raises(ValueError, match="num_walks|walk_length|num_partitions"):
+        generate_walks(spark, g, make_model("deepwalk"), **kw)
+
+
+@pytest.mark.parametrize("other", ["graph", "model"])
+def test_engine_mismatched_prepared_sampler_raises(spark, g, monkeypatch, other):
+    """A prepared sampler built on another graph or model object, even
+    an equal one, fails on the driver: the kernel would index the passed
+    graph with slots drawn from the sampler's own."""
+    from repro.samplers import make_sampler
+
+    model = make_model("deepwalk")
+    s = make_sampler(
+        "mh",
+        dataclasses.replace(g) if other == "graph" else g,
+        make_model("deepwalk") if other == "model" else model,
+        np.random.default_rng(0),
+    )
+    s.prepare()
+    forbid_prepare_and_broadcast(spark, monkeypatch)
+    with pytest.raises(ValueError, match="prepared sampler"):
+        generate_walks(spark, g, model, prepared=s)
+
+
+def forbid_prepare_and_broadcast(spark, monkeypatch):
+    """Make building a sampler or broadcasting anything fail the test."""
     import repro.walks.engine as engine
 
     def unreachable(*args, **kwargs):
@@ -251,8 +285,6 @@ def test_engine_invalid_walk_spec_raises_before_prepare(spark, g, monkeypatch, k
 
     monkeypatch.setattr(engine, "make_sampler", unreachable)
     monkeypatch.setattr(spark.sparkContext, "broadcast", unreachable)
-    with pytest.raises(ValueError, match="num_walks|walk_length|num_partitions"):
-        generate_walks(spark, g, make_model("deepwalk"), **kw)
 
 
 def test_count_walk_tokens_empty_corpus(spark, g):
@@ -313,3 +345,61 @@ def test_engine_corpus_repeats_across_actions(spark, g, sampler):
     )
     assert len(first) == 4 * g.n
     assert first == second
+
+
+ZIP_PROBE = """
+import importlib, json, sys, zipfile, zipimport
+sys.path.insert(0, {src!r})
+from repro.walks.engine import _lazy_zip_invalidation
+
+archive = {archive!r}
+with zipfile.ZipFile(archive, "w") as z:
+    z.writestr("zpkg/__init__.py", "")
+    z.writestr("zpkg/first.py", "X = 1")
+    z.writestr("zpkg/second.py", "Y = 2")
+sys.path.insert(0, archive)
+import zpkg.first
+
+reads = []
+read_directory = zipimport._read_directory
+def counting(path):
+    reads.append(path)
+    return read_directory(path)
+zipimport._read_directory = counting
+
+original = zipimport.zipimporter.invalidate_caches
+_lazy_zip_invalidation()
+installed = zipimport.zipimporter.invalidate_caches
+for _ in range(3):
+    importlib.invalidate_caches()
+rereads = len(reads)
+import zpkg.second
+_lazy_zip_invalidation()
+print(json.dumps(dict(
+    untouched=installed is original,
+    rereads=rereads,
+    second=(zpkg.second.Y, zpkg.second.__file__.startswith(archive)),
+    idempotent=zipimport.zipimporter.invalidate_caches is installed,
+)))
+"""
+
+
+def test_lazy_zip_invalidation(tmp_path):
+    """Before CPython 3.13, the helper makes ``importlib.invalidate_caches``
+    (PySpark's per-task call) re-read no zip archive, and modules not yet
+    imported still load from the zip; calling it again changes nothing.
+    From 3.13 on it leaves ``zipimporter`` as it is. It patches a class
+    process-wide, so it runs in a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = ZIP_PROBE.format(src=src, archive=str(tmp_path / "zpkg.zip"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    probe = json.loads(out.stdout)
+    if sys.version_info >= (3, 13):
+        assert probe["untouched"]
+        return
+    assert not probe["untouched"]
+    assert probe["rereads"] == 0
+    assert probe["second"] == [2, True]
+    assert probe["idempotent"]

@@ -219,3 +219,16 @@ def test_static_prefix_computed_once_per_graph(g, monkeypatch):
             fresh.weight_prefix(),
             np.concatenate([[0.0], cumsum(fresh.weights, dtype=np.float64)]),
         )
+
+
+@pytest.mark.parametrize("mname", ["deepwalk", "metapath2vec"])
+def test_first_order_walks_skip_static_prefix(g, mname):
+    """Only a second-order model's first step draws from the static
+    distribution, so a first-order walk leaves a fresh graph's weight
+    prefix unbuilt."""
+    fresh = dataclasses.replace(g)
+    model = make_model(mname)
+    s = make_sampler("mh", fresh, model, np.random.default_rng(0))
+    s.prepare()
+    simulate_walks(fresh, model, model.start_nodes(fresh)[:40], 10, s, s.rng)
+    assert "_weight_prefix" not in fresh.__dict__
