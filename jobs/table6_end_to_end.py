@@ -21,16 +21,14 @@ paper's contribution).
 ``*`` marks a sampler whose simulated memory ledger exceeds the
 paper-scaled budget.
 
-Env knobs: REPRO_T6_SKIP_BIG=1 skips the billion-edge stand-ins;
-REPRO_T6_REF_CAP seconds caps the reference runs (default 90);
-REPRO_T6_BIG_WALKS overrides num_walks on the billion-edge stand-ins
-(default 2 — noted in EXPERIMENTS.md).
+The reference runs are capped at ``REF_CAP_S`` seconds, and the
+billion-edge stand-ins run ``BIG_WALKS`` walks per node instead of 10
+(noted in EXPERIMENTS.md).
 
 Run: ``python jobs/table6_end_to_end.py``.
 """
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -56,6 +54,10 @@ MODEL_DATASETS = {
 #: UniNet (Orig): the model's original sampling method inside UniNet.
 ORIG_SAMPLER = {"node2vec": "alias"}
 BIG = {"twitter_sim", "webuk_sim"}
+#: Wall-clock cap (s) of each reference run.
+REF_CAP_S = 90.0
+#: Walks per node on the billion-edge stand-ins (the paper uses 10).
+BIG_WALKS = 2
 MODEL_KW = {"node2vec": dict(p=0.25, q=4.0)}
 
 #: Paper Table VI T_t values (Open, Orig, M-H) for EXPERIMENTS.md diffs.
@@ -140,19 +142,14 @@ def main(spark=None):
 
         spark = get_or_create_spark("table6")
         spark.sparkContext.setLogLevel("ERROR")
-    skip_big = os.environ.get("REPRO_T6_SKIP_BIG") == "1"
-    ref_cap = float(os.environ.get("REPRO_T6_REF_CAP", "90"))
-    big_walks = int(os.environ.get("REPRO_T6_BIG_WALKS", "2"))
     walk_length = 80
 
     all_rows = {}
     for model_name, datasets in MODEL_DATASETS.items():
         rows = []
         for ds in datasets:
-            if skip_big and ds in BIG:
-                continue
             big = ds in BIG
-            num_walks = big_walks if big else 10
+            num_walks = BIG_WALKS if big else 10
             g = load(ds)
             model = make_model(model_name, **MODEL_KW.get(model_name, {}))
 
@@ -163,13 +160,13 @@ def main(spark=None):
                 ref = reference_walks(
                     g, model, model.start_nodes(g),
                     num_walks=num_walks, walk_length=walk_length,
-                    seed=3, time_limit_s=ref_cap,
+                    seed=3, time_limit_s=REF_CAP_S,
                 )
             if ref is None:
                 open_ti, open_tw = "skip", "skip"
             elif ref.timed_out:
-                open_ti = ref.init_s if ref.init_s is not None else f">{ref_cap:.0f}"
-                open_tw = f">{ref_cap:.0f}"
+                open_ti = ref.init_s if ref.init_s is not None else f">{REF_CAP_S:.0f}"
+                open_tw = f">{REF_CAP_S:.0f}"
             else:
                 open_ti, open_tw = ref.init_s, ref.walk_s
 
@@ -190,7 +187,7 @@ def main(spark=None):
             def total(ti, tw):
                 if isinstance(ti, str) or isinstance(tw, str) or tl is None:
                     return "*" if "*" in (ti, tw) else (
-                        "skip" if "skip" in (ti, tw) else f">{ref_cap:.0f}"
+                        "skip" if "skip" in (ti, tw) else f">{REF_CAP_S:.0f}"
                     )
                 return ti + tw + tl
 

@@ -9,14 +9,12 @@ budget — by the same arithmetic as the paper's 96 GB server, so the
 star pattern (Alias everywhere; Rejection/KnightKing on Web-UK)
 reproduces structurally.
 
-Env knobs: REPRO_T7_NUM_WALKS (default 2 — the paper uses 10; noted in
-EXPERIMENTS.md), REPRO_T7_DATASETS (comma list).
+Each cell runs ``NUM_WALKS`` walks per node (the paper uses 10; noted
+in EXPERIMENTS.md).
 
 Run: ``python jobs/table7_billion_edge.py``.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -26,6 +24,9 @@ from repro.models import make_model
 from repro.samplers import MemoryBudgetExceeded, make_sampler
 from repro.walks.engine import count_walk_tokens, generate_walks
 
+#: Walks per node (the paper uses 10).
+NUM_WALKS = 2
+STAND_INS = ("twitter_sim", "webuk_sim")
 PQ_GRID = [(1, 0.25), (0.25, 1), (1, 1), (1, 4), (4, 1)]
 SAMPLERS = [
     ("Alias", "alias"),
@@ -87,16 +88,13 @@ def main(spark=None):
 
         spark = get_or_create_spark("table7")
         spark.sparkContext.setLogLevel("ERROR")
-    num_walks = int(os.environ.get("REPRO_T7_NUM_WALKS", "2"))
-    datasets = os.environ.get("REPRO_T7_DATASETS", "twitter_sim,webuk_sim").split(",")
-
     results = {}
-    for ds in datasets:
+    for ds in STAND_INS:
         rows = []
         for label, sampler in SAMPLERS:
             cells = []
             for p, q in PQ_GRID:
-                v = run_cell(spark, ds, sampler, p, q, num_walks)
+                v = run_cell(spark, ds, sampler, p, q, NUM_WALKS)
                 cells.append(v)
                 print(f"  {ds} {label} (p={p},q={q}): {v}", flush=True)
             paper_cells = PAPER.get(ds, {}).get(label, ["-"] * 5)
@@ -109,7 +107,7 @@ def main(spark=None):
         results[ds] = rows
         print_table(
             f"Table VII — node2vec walk generation on {ds} "
-            f"(ours, {num_walks} walks/node | paper, 10 walks/node)",
+            f"(ours, {NUM_WALKS} walks/node | paper, 10 walks/node)",
             ["sampler"] + [f"({p},{q})" for p, q in PQ_GRID] + ["|"]
             + [f"p({p},{q})" for p, q in PQ_GRID],
             rows,

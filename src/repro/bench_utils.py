@@ -80,7 +80,7 @@ def driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. Records where the value came from in
+    limit > physical memory. Records where the value came from in
     ``_SPARK_DRIVER_MEM_SRC``.
 
     The cgroup read is best-effort: a container runtime's sysfs
@@ -107,7 +107,8 @@ def driver_mem() -> str:
         except (OSError, ValueError):
             continue
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    gib = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / (1 << 30)
+    return f"{max(1, int(gib * 0.75))}g"
 
 
 def set_spark_submit_args() -> None:

@@ -9,8 +9,9 @@ exactly the paper's ``calculateWeight`` / ``updateState`` interfaces.
 Here both are *vectorized*: a :class:`WalkerBatch` carries the state
 arrays of many walkers, ``dyn_weight`` evaluates ``w'`` for one
 candidate edge per walker, and ``state_index`` maps each walker's state
-to a flat sampler-manager slot — the 2D data layout of §IV-C
-(*position* = current node, *affixture* = the rest of the state).
+to its entry of the M-H sampler's flat ``LAST_x`` array — the 2D data
+layout of §IV-C (*position* = current node, *affixture* = the rest of
+the state).
 """
 from __future__ import annotations
 

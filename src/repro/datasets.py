@@ -100,11 +100,8 @@ DATASETS: Dict[str, DatasetSpec] = {
 _cache: Dict[str, CSRGraph] = {}
 
 
-def load(name: str, cache: bool = True) -> CSRGraph:
+def load(name: str) -> CSRGraph:
     """Build (and memoize) a stand-in graph by registry name."""
-    if cache and name in _cache:
-        return _cache[name]
-    g = DATASETS[name].build()
-    if cache:
-        _cache[name] = g
-    return g
+    if name not in _cache:
+        _cache[name] = DATASETS[name].build()
+    return _cache[name]

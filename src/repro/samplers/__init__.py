@@ -23,6 +23,7 @@ from repro.samplers.base import (
 from repro.samplers.direct import DirectSampler
 from repro.samplers.knightking import KnightKingSampler
 from repro.samplers.memory_aware import MemoryAwareSampler
+from repro.samplers.mh import MHSampler
 from repro.samplers.rejection import RejectionSampler
 
 #: Initialization strategy (§III-C) of each M-H registry name.
@@ -49,10 +50,6 @@ def make_sampler(
     """Build sampler ``name``; ``kw`` goes to its constructor. An
     unknown name raises ``KeyError``, a keyword the sampler does not
     take raises ``TypeError``."""
-    # Imported lazily: core.mh_sampler itself depends on samplers.base,
-    # so a top-level import here would be circular.
-    from repro.core.mh_sampler import MHSampler
-
     if name in _MH_INITS:
         return MHSampler(g, model, rng, budget, init=_MH_INITS[name], **kw)
     return _SAMPLERS[name](g, model, rng, budget, **kw)
@@ -68,6 +65,7 @@ __all__ = [
     "RejectionSampler",
     "KnightKingSampler",
     "MemoryAwareSampler",
+    "MHSampler",
     "make_sampler",
     "SAMPLER_NAMES",
 ]

@@ -5,7 +5,15 @@ node's neighbor slots with a **uniform** proposal ``q(·|u) = 1/deg(v)``
 (symmetric, so the acceptance ratio reduces to
 ``min(1, w'_cand / w'_last)``) and the model's *unnormalized* dynamic
 edge weight as target. Time and memory are O(1) per sample — only the
-``LAST_x`` slot is stored, in the :class:`SamplerManager` 2D layout.
+``LAST_x`` slot is stored.
+
+The ``LAST_x`` store is the paper's sampler manager with its 2D data
+layout (§IV-C): one int32 array ``last_slot`` with one entry per walker
+state, ``-1`` for a state that has none. The model's ``state_index``
+maps *(position, affixture)* to the entry arithmetically — ``cur`` for
+deepwalk, the previous edge's global CSR slot for the node2vec family,
+``cur · |Φ| + T`` for metapath2vec — so each query is one O(1) index,
+the aggregated bucket layout of Fig. 4.
 
 Initialization strategies (§III-C), applied by :meth:`MHSampler.prepare`
 to every state a walk can leave (Table VI's M-H ``T_i``):
@@ -38,10 +46,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
-from repro.core.sampler_manager import SamplerManager
 from repro.graph.csr import CSRGraph
 from repro.samplers import pool
-from repro.samplers.base import EdgeSampler, MemoryBudget
+from repro.samplers.base import BYTES_MH_STATE, EdgeSampler, MemoryBudget
 from repro.samplers.segment import neighbor_dyn_weights, segmented_argmax
 
 _INIT_STRATEGIES = ("random", "weight", "burn")
@@ -86,7 +93,9 @@ class MHSampler(EdgeSampler):
         ``stats``: it writes its own states' slots of the shared store,
         and its burn-in proposals count in no ``stats``."""
         g, model = self.g, self.model
-        self.manager = SamplerManager(model.num_states(g), self.budget)
+        num_states = model.num_states(g)
+        self.budget.charge("mh_last_states", BYTES_MH_STATE * num_states)
+        self.last_slot = np.full(num_states, -1, dtype=np.int32)
         seed = int(self.rng.integers(1 << 63))
 
         def init_chunk(a: int, b: int) -> None:
@@ -102,7 +111,7 @@ class MHSampler(EdgeSampler):
 
         per_state = self.hw_samples if self.init == "weight" else 1
         chunk = max(1, _INIT_CHUNK_ENTRIES // per_state)
-        pool.run_chunks(init_chunk, self.manager.num_states, chunk, per_state,
+        pool.run_chunks(init_chunk, num_states, chunk, per_state,
                         name="mh-init")
 
     def task_copy(self) -> "MHSampler":
@@ -111,7 +120,7 @@ class MHSampler(EdgeSampler):
         The store was charged to the memory ledger once, by
         :meth:`prepare`."""
         c = super().task_copy()
-        c.manager = self.manager.copy()
+        c.last_slot = self.last_slot.copy()
         return c
 
     # ------------------------------------------------------------------
@@ -206,7 +215,7 @@ class MHSampler(EdgeSampler):
                 for _ in range(self.burn_in):
                     slot, w = self._mh_iterate(wk, slot, w)
             slot = self._retry_invalid(wk, slot, w)
-        self.manager.set(state, slot)
+        self.last_slot[state] = slot
 
     # ------------------------------------------------------------------
     def sample(self, wk: WalkerBatch) -> np.ndarray:
@@ -216,7 +225,7 @@ class MHSampler(EdgeSampler):
         g = self.g
         state = self.model.state_index(g, wk)
         start = g.indptr[wk.cur]
-        last = self.manager.get(state).astype(np.int64)
+        last = self.last_slot[state].astype(np.int64)
         cand = self._uniform_slot(g.degree(wk.cur))
         # w_last and w_cand in one dyn_weight call (one edge search):
         # walker i's last slot at 2i, its candidate at 2i + 1.
@@ -224,5 +233,5 @@ class MHSampler(EdgeSampler):
         w = self.model.dyn_weight(g, wk.repeat(2), pairs).reshape(-1, 2)
         new_slot, _ = self._transition(last, w[:, 0], cand, w[:, 1])
         new_slot[last < 0] = -1
-        self.manager.set(state, new_slot)
+        self.last_slot[state] = new_slot
         return np.where(new_slot >= 0, start + new_slot, -1)

@@ -3,7 +3,7 @@
 UniNet runs its set-up on every thread of the machine (paper §IV-A).
 Two set-up jobs here do the same: the alias-table build
 (:func:`repro.samplers.alias.build_tables`) and the M-H ``LAST_x``
-initialization (:meth:`repro.core.mh_sampler.MHSampler.prepare`). Each
+initialization (:meth:`repro.samplers.mh.MHSampler.prepare`). Each
 cuts its work into chunks of ``range(total)`` and hands them to
 :func:`run_chunks`. numpy releases the GIL inside each chunk's array
 work. A chunk's result depends only on its bounds, and the bounds of

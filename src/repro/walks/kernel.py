@@ -2,7 +2,7 @@
 
 Advances a batch of independent walkers in lockstep: at each step every
 active walker queries its edge sampler (Alg. 2 line 9-11 — the sampler
-manager query is the O(1) ``state_index`` arithmetic), takes the
+manager's lookup is the O(1) ``state_index`` arithmetic), takes the
 sampled edge, and updates its state (``updateState``). Walkers that hit
 a dead end (no neighbor / no metapath-compatible neighbor) stop early;
 their walks are ``-1``-padded.

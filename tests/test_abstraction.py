@@ -91,6 +91,8 @@ def test_driver_mem_derived_without_override(monkeypatch):
     monkeypatch.delenv("_SPARK_DRIVER_MEM_SRC", raising=False)
     mem = driver_mem()
     assert mem.endswith("g") and int(mem[:-1]) >= 1
+    phys_gib = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / (1 << 30)
+    assert int(mem[:-1]) <= phys_gib
     src = os.environ["_SPARK_DRIVER_MEM_SRC"]
     assert src == "fallback" or src.startswith("cgroup:")
 

@@ -1,20 +1,18 @@
 """M-H edge sampler (Algorithm 1): convergence, init strategies,
-sampler-manager 2D layout."""
+the ``LAST_x`` store's 2D layout."""
 import os
 import sys
 
 import numpy as np
 import pytest
 
-from repro.core import mh_sampler
 from repro.core.abstraction import WalkerBatch
-from repro.core.mh_sampler import MHSampler
-from repro.core.sampler_manager import SamplerManager
 from repro.core.theory import exact_transition, tv_distance
 from repro.graph.csr import from_edges
 from repro.models import make_model
-from repro.samplers import pool
+from repro.samplers import mh, pool
 from repro.samplers.base import MemoryBudget
+from repro.samplers.mh import MHSampler
 
 from tests.util import (
     biased_model,
@@ -180,7 +178,7 @@ def test_mh_prepare_initializes_exactly_the_live_states(g, mname, init):
     stuck = model.stuck(gi, states)
     if mname != "node2vec":
         assert stuck.any()
-    last = s.manager.last_slot
+    last = s.last_slot
     assert last.shape == (model.num_states(gi),)
     np.testing.assert_array_equal(last >= 0, ~stuck)
     live = states.take(~stuck)
@@ -201,7 +199,7 @@ def test_mh_store_identical_for_any_thread_count(g, monkeypatch, mname, init):
     """Chunks of 37 entries, so ``prepare()`` runs many chunks: the store
     is bit-identical on one pool thread, on three, and on more threads
     than CPUs with a short switch interval."""
-    monkeypatch.setattr(mh_sampler, "_INIT_CHUNK_ENTRIES", 37)
+    monkeypatch.setattr(mh, "_INIT_CHUNK_ENTRIES", 37)
     gi = _with_isolated_node(g)
     model = biased_model(mname)
 
@@ -209,7 +207,7 @@ def test_mh_store_identical_for_any_thread_count(g, monkeypatch, mname, init):
         monkeypatch.setattr(pool, "cpu_count", lambda: threads)
         s = MHSampler(gi, model, np.random.default_rng(5), init=init, burn_in=10)
         s.prepare()
-        return s.manager.last_slot
+        return s.last_slot
 
     ref = store(1)
     assert model.num_states(gi) > 4 * 37
@@ -254,7 +252,7 @@ def test_mh_high_weight_init_picks_heavy_slot(g):
     s = MHSampler(g, model, np.random.default_rng(3), init="weight",
                   hw_samples=max(64, 4 * deg))
     s.prepare()
-    slot = int(s.manager.get(np.array([v]))[0])
+    slot = int(s.last_slot[v])
     w = g.neighbor_weights(v)
     assert w[slot] >= np.quantile(w, 0.9)
 
@@ -279,8 +277,8 @@ def test_mh_memory_is_one_slot_per_state(g):
     ]:
         s = MHSampler(g, make_model(name), np.random.default_rng(0))
         s.prepare()
-        assert s.manager.num_states == expect
-        assert s.manager.nbytes() == 4 * expect
+        assert s.last_slot.shape[0] == expect
+        assert s.last_slot.nbytes == 4 * expect
 
 
 def test_mh_budget_charged_on_prepare(g):
@@ -296,17 +294,16 @@ def test_mh_task_copy_evolves_private_store_without_second_charge(g):
     b = MemoryBudget(None)
     s = MHSampler(g, make_model("node2vec"), np.random.default_rng(0), budget=b)
     s.prepare()
-    prepared = s.manager.last_slot.copy()
+    prepared = s.last_slot.copy()
     c = s.task_copy()
-    assert c.manager is not s.manager
-    assert c.manager.last_slot is not s.manager.last_slot
-    np.testing.assert_array_equal(c.manager.last_slot, prepared)
+    assert c.last_slot is not s.last_slot
+    np.testing.assert_array_equal(c.last_slot, prepared)
     e = np.random.default_rng(1).integers(0, g.m, 500)
     wk = WalkerBatch(cur=g.indices[e].astype(np.int64), prev=g.src[e], prev_eidx=e)
     for _ in range(5):
         c.sample(wk)
-    assert (c.manager.last_slot != prepared).any()
-    np.testing.assert_array_equal(s.manager.last_slot, prepared)
+    assert (c.last_slot != prepared).any()
+    np.testing.assert_array_equal(s.last_slot, prepared)
     assert s.stats == {"proposals": 0, "accepts": 0}
     assert b.ledger == {"mh_last_states": 4 * g.m}
 
@@ -329,11 +326,11 @@ def _two_call_sample(s, wk):
     g = s.g
     state = s.model.state_index(g, wk)
     start = g.indptr[wk.cur]
-    last = s.manager.get(state).astype(np.int64)
+    last = s.last_slot[state].astype(np.int64)
     w_last = s.model.dyn_weight(g, wk, start + last)
     new_slot, _ = s._mh_iterate(wk, last, w_last)
     new_slot[last < 0] = -1
-    s.manager.set(state, new_slot)
+    s.last_slot[state] = new_slot
     return np.where(new_slot >= 0, start + new_slot, -1)
 
 
@@ -355,28 +352,13 @@ def test_mh_sample_matches_two_call_step(g, mname, kw, st, init):
         s.prepare()
     for _ in range(5):
         np.testing.assert_array_equal(fused.sample(wk), _two_call_sample(ref, wk))
-    np.testing.assert_array_equal(fused.manager.last_slot, ref.manager.last_slot)
+    np.testing.assert_array_equal(fused.last_slot, ref.last_slot)
     assert fused.stats == ref.stats
 
 
 # ----------------------------------------------------------------------
-# SamplerManager — the 2D data layout (§IV-C)
+# The LAST_x store's 2D data layout (§IV-C)
 # ----------------------------------------------------------------------
-def test_manager_flat_o1_access():
-    m = SamplerManager(100)
-    assert m.uninitialized(np.arange(100)).all()
-    m.set(np.array([3, 7]), np.array([11, 12]))
-    assert m.get(np.array([3]))[0] == 11
-    assert m.get(np.array([7]))[0] == 12
-    assert m.initialized_count == 2
-
-
-def test_manager_charges_budget():
-    b = MemoryBudget(None)
-    SamplerManager(1000, b)
-    assert b.ledger["mh_last_states"] == 4000
-
-
 def test_manager_position_affixture_disjoint(g):
     """Distinct (position, affixture) states map to distinct slots for
     each model — the layout is collision-free."""
@@ -387,9 +369,3 @@ def test_manager_position_affixture_disjoint(g):
             wk = state_batch(g, v, req_type=t)
             slots.add(int(model.state_index(g, wk)[0]))
     assert len(slots) == 50 * g.n_types
-
-
-def test_manager_overwrite_latest_wins():
-    m = SamplerManager(10)
-    m.set(np.array([1, 1]), np.array([5, 9]))
-    assert m.get(np.array([1]))[0] == 9
